@@ -9,7 +9,9 @@ is provided and reused by the other modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from .words import UPWord, Word, as_word
@@ -35,9 +37,28 @@ class BuchiAutomaton:
         if not self.initial <= self.states or not self.final <= self.states:
             raise ValueError("initial/final states must be states")
 
+    @cached_property
+    def _index(self):
+        return _index_transitions(self.transitions)
+
+    def out_edges(self, q: State) -> Tuple[Tuple[object, State], ...]:
+        """Outgoing (symbol, target) pairs of q, in transition order."""
+        return self._index[0].get(q, ())
+
     def successors(self, q: State, a) -> FrozenSet[State]:
-        return frozenset(r for (p, b, r) in self.transitions
-                         if p == q and b == a)
+        return self._index[1].get((q, a), frozenset())
+
+
+def _index_transitions(transitions):
+    """One pass over (state, symbol, target) transitions: the outgoing
+    (symbol, target) pairs of each state, and the target set of each
+    (state, symbol).  Both keep the iteration order of transitions."""
+    out, succ = {}, {}
+    for (q, a, r) in transitions:
+        out.setdefault(q, []).append((a, r))
+        succ.setdefault((q, a), []).append(r)
+    return ({q: tuple(v) for q, v in out.items()},
+            {k: frozenset(v) for k, v in succ.items()})
 
 
 def buchi(alphabet, states, transitions, initial, final) -> BuchiAutomaton:
@@ -70,15 +91,21 @@ def find_lasso(initial_nodes: Iterable[Node],
     Finds a path from an initial node to a final node f together with a
     non-empty cycle f -> ... -> f.  Nodes must be hashable; the graph
     reachable from the initial nodes must be finite.
+
+    successors is called once per reachable node, and its answer is
+    recorded and reused by every cycle search, so it must be
+    deterministic.  The final nodes are tried in breadth-first order and
+    the first one on a cycle is returned, with its breadth-first stem
+    and shortest cycle.
     """
     parent = {}
-    order = []
-    queue = list(dict.fromkeys(initial_nodes))
+    succs = {}  # reachable node -> its successor list, in BFS order
+    queue = deque(dict.fromkeys(initial_nodes))
     seen = set(queue)
     while queue:
-        n = queue.pop(0)
-        order.append(n)
-        for (lab, m) in successors(n):
+        n = queue.popleft()
+        out = succs[n] = tuple(successors(n))
+        for (lab, m) in out:
             if m not in seen:
                 seen.add(m)
                 parent[m] = (n, lab)
@@ -92,10 +119,10 @@ def find_lasso(initial_nodes: Iterable[Node],
             labels.append(lab)
         return tuple(reversed(nodes)), tuple(reversed(labels))
 
-    for f in order:
+    for f in succs:
         if not is_final(f):
             continue
-        cycle = _find_cycle(f, successors)
+        cycle = _find_cycle(f, succs)
         if cycle is not None:
             loop_nodes, loop_labels = cycle
             stem_nodes, stem_labels = path_to(f)
@@ -103,10 +130,11 @@ def find_lasso(initial_nodes: Iterable[Node],
     return None
 
 
-def _find_cycle(f, successors):
-    """Non-empty path f -> ... -> f, as (nodes_after_each_edge, labels)."""
+def _find_cycle(f, succs):
+    """Non-empty path f -> ... -> f, as (nodes_after_each_edge, labels),
+    over the successor lists recorded by find_lasso."""
     cparent = {}
-    cqueue = []
+    cqueue = deque()
     cseen = set()
 
     def rebuild(last, lab):
@@ -121,7 +149,7 @@ def _find_cycle(f, successors):
         labels.reverse()
         return tuple(nodes), tuple(labels)
 
-    for (lab, m) in successors(f):
+    for (lab, m) in succs[f]:
         if m == f:
             return (f,), (lab,)
         if m not in cseen:
@@ -129,8 +157,8 @@ def _find_cycle(f, successors):
             cparent[m] = (f, lab)
             cqueue.append(m)
     while cqueue:
-        n = cqueue.pop(0)
-        for (lab, m) in successors(n):
+        n = cqueue.popleft()
+        for (lab, m) in succs[n]:
             if m == f:
                 return rebuild(n, lab)
             if m not in cseen:
@@ -180,11 +208,7 @@ def is_empty(b: BuchiAutomaton) -> bool:
 
 def accepts_some(b: BuchiAutomaton) -> Optional[Lasso]:
     """An accepting lasso of b, or None when L(b) is empty."""
-
-    def succ(q):
-        return [(a, r) for (p, a, r) in b.transitions if p == q]
-
-    return find_lasso(b.initial, succ, lambda q: q in b.final)
+    return find_lasso(b.initial, b.out_edges, lambda q: q in b.final)
 
 
 def lasso_word(lasso: Lasso) -> UPWord:
@@ -268,11 +292,15 @@ class NFA:
     initial: FrozenSet[State]
     final: FrozenSet[State]
 
+    @cached_property
+    def _index(self):
+        return _index_transitions(self.transitions)
+
     def accepts(self, w) -> bool:
+        succ = self._index[1]
         cur = set(self.initial)
         for a in w:
-            cur = {r for (q, b, r) in self.transitions
-                   if q in cur and b == a}
+            cur = {r for q in cur for r in succ.get((q, a), ())}
             if not cur:
                 return False
         return bool(cur & self.final)
@@ -350,9 +378,7 @@ def _ambiguous_word(b: BuchiAutomaton) -> Optional[UPWord]:
         nph = (1 if q1 in b.final else 0) if ph == 0 else \
               (0 if q2 in b.final else 1)
         out = []
-        for (p, a, r1) in b.transitions:
-            if p != q1:
-                continue
+        for (a, r1) in b.out_edges(q1):
             for r2 in b.successors(q2, a):
                 out.append((a, (r1, r2, diff or r1 != r2, nph)))
         return out

@@ -16,7 +16,7 @@ from .continuity_regular import (NoWitnessUpTo, NotContinuous, SearchBounds,
                                  search_witness)
 from .loops import NotIdempotent, NotInPrefDomain, decompose, rho
 from .oneway import (EpsilonLoopOutput, Transducer, decide_continuity,
-                     eval_up, trim_transducer)
+                     domain_automaton, eval_up, trim_transducer)
 from .oracle import BadPairFound, brute_force_check, random_instance
 from .stream_eval import DeadInput, mismatch_exists, stream_start, stream_step
 from .textio import (ParseError, ValidationError, format_up, format_word,
@@ -88,7 +88,11 @@ def cmd_eval(args) -> int:
     if isinstance(m, BuchiAutomaton):
         return _data_error("an acceptor has no output; use member")
     if isinstance(m, Transducer):
-        y = eval_up(m, x)
+        try:
+            y = eval_up(m, x)
+        except EpsilonLoopOutput:
+            return _data_error(
+                "accepted, but every accepting run has a finite image")
     else:
         got = eval_up_2way(m, x)
         y = got.value if isinstance(got, Output) else None
@@ -105,7 +109,7 @@ def cmd_member(args) -> int:
     if isinstance(m, BuchiAutomaton):
         ok = member_up(m, x)
     elif isinstance(m, Transducer):
-        ok = eval_up(m, x) is not None
+        ok = member_up(domain_automaton(m), x)
     else:
         ok = isinstance(eval_up_2way(m, x), Output)
     print("true" if ok else "false")
@@ -319,7 +323,7 @@ def main(argv=None) -> int:
     except DeadInput as e:
         return _data_error(f"no domain word extends {e}")
     except (ParseError, ValidationError, ValueError, OSError,
-            NotIdempotent, NotInPrefDomain, EpsilonLoopOutput) as e:
+            NotIdempotent, NotInPrefDomain) as e:
         return _data_error(str(e))
 
 

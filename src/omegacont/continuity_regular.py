@@ -29,7 +29,7 @@ from .lookahead import (MultipleStates, NoState, eliminate_lookahead,
 from .loops import NotIdempotent, NotInPrefDomain, is_idempotent, rho
 from .twoway import (ENDMARKER, DomainOracle, Output, TwoWayPLA,
                      TwoWayTransducer, eval_up_2way, run_finite)
-from .words import Word, mismatch, up_word
+from .words import Word, mismatch, up_word, words_up_to
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,6 @@ class NotContinuous:
 class NoWitnessUpTo:
     bounds: SearchBounds
     pref_exact: bool
-
-
-def _words_up_to(letters, lo: int, hi: int):
-    for k in range(lo, hi + 1):
-        for w in itertools.product(letters, repeat=k):
-            yield w
 
 
 def alphabet_automorphisms(t: TwoWayTransducer) -> List[Dict]:
@@ -128,8 +122,8 @@ class _PlainSpace:
 
     def groups(self, bounds: SearchBounds):
         pairs = []
-        for u1 in _words_up_to(self.letters, 0, bounds.max_len_u1):
-            for u2 in _words_up_to(self.letters, 1, bounds.max_len_u2):
+        for u1 in words_up_to(self.letters, 0, bounds.max_len_u1):
+            for u2 in words_up_to(self.letters, 1, bounds.max_len_u2):
                 if min((_apply(m, u1), _apply(m, u2))
                        for m in self.autos) == (u1, u2):
                     pairs.append((u1, u2))
@@ -138,7 +132,7 @@ class _PlainSpace:
             yield pair, [pair]
 
     def thirds(self, u1: Word, u2: Word, bounds: SearchBounds):
-        return list(_words_up_to(self.letters, 0, bounds.max_len_u3))
+        return list(words_up_to(self.letters, 0, bounds.max_len_u3))
 
 
 class _AnnotatedSpace:

@@ -17,7 +17,8 @@ than as a mismatch, so the search stays sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, Optional, Tuple
+from functools import cached_property
+from typing import FrozenSet, Hashable, Optional, Tuple
 
 from .buchi import BuchiAutomaton, Lasso, find_lasso, lasso_word
 from .buchi import trim as buchi_trim
@@ -52,9 +53,23 @@ class Transducer:
         if not self.initial <= self.states or not self.final <= self.states:
             raise ValueError("initial/final states must be states")
 
-    def arcs(self, q: State, a) -> Iterable[Tuple[State, Word]]:
-        return [(r, g) for (p, b, r, g) in self.transitions
-                if p == q and b == a]
+    @cached_property
+    def _index(self):
+        # One pass over transitions, so every list keeps their order.
+        out, arcs = {}, {}
+        for (q, a, r, g) in self.transitions:
+            out.setdefault(q, []).append((a, r, g))
+            arcs.setdefault((q, a), []).append((r, g))
+        return ({q: tuple(v) for q, v in out.items()},
+                {k: tuple(v) for k, v in arcs.items()})
+
+    def out_arcs(self, q: State) -> Tuple[Tuple[object, State, Word], ...]:
+        """Outgoing (symbol, target, output) triples of q, in transition
+        order."""
+        return self._index[0].get(q, ())
+
+    def arcs(self, q: State, a) -> Tuple[Tuple[State, Word], ...]:
+        return self._index[1].get((q, a), ())
 
     @property
     def max_output_len(self) -> int:
@@ -93,71 +108,46 @@ def trim_transducer(t: Transducer) -> Transducer:
 def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
     """Value of the realized function on x, or None when x is not in
     the domain.  Raises EpsilonLoopOutput when x is accepted but every
-    accepting run emits only finitely many symbols."""
-    p, qn = len(x.prefix), len(x.period)
-    n = p + qn
+    accepting run emits only finitely many symbols.
 
-    def nxt(i):
-        return i + 1 if i + 1 < n else p
+    The value is the output of any accepting run that emits infinitely
+    often, which is well defined only when t is functional.
+    """
+    p, n = len(x.prefix), len(x.prefix) + len(x.period)
+    syms = [x[i] for i in range(n)]
+    nxt = list(range(1, n)) + [p]
 
     def succ(node):
         q, i = node
-        return [(g, (r, nxt(i))) for (r, g) in t.arcs(q, x[i])]
+        j = nxt[i]
+        return [(g, (r, j)) for (r, g) in t.arcs(q, syms[i])]
 
-    starts = [(q, 0) for q in t.initial]
-    plain = find_lasso(starts, succ, lambda nd: nd[0] in t.final)
-    if plain is None:
+    lasso = find_lasso([(q, 0) for q in t.initial], succ,
+                       lambda nd: nd[0] in t.final)
+    if lasso is None:
         return None
+    if not any(lasso.loop_labels):
+        # The loop found is silent.  Phase 0 waits for a final state and
+        # phase 1 for an emitting arc, so a cycle through a final node in
+        # phase 0 passes both.
+        def succ_phase(node):
+            q, i, ph = node
+            j = nxt[i]
+            out = []
+            for (r, g) in t.arcs(q, syms[i]):
+                if ph == 0:
+                    nph = 1 if q in t.final else 0
+                else:
+                    nph = 0 if g else 1
+                out.append((g, (r, j, nph)))
+            return out
 
-    # Need an accepting loop that emits something; hunt per final node
-    # with a produced-output flag folded into the cycle search.
-    def succ_flag(node):
-        (q, i), flag = node
-        return [(g, ((r, nxt(i)), flag or len(g) > 0))
-                for (r, g) in t.arcs(q, x[i])]
-
-    # Stem to a final node f, then a cycle f -> f with the flag turned on;
-    # the inner find_lasso's stem is exactly that cycle.
-    for f_state in t.final:
-        for i in range(n):
-            f = (f_state, i)
-            stem = _path_between(starts, f, succ)
-            if stem is None:
-                continue
-            cyc = find_lasso([(f, False)], succ_flag,
-                             lambda nd: nd[0] == f and nd[1])
-            if cyc is not None:
-                # cyc's "stem" is the cycle itself since its final test
-                # only passes back at f with output seen.
-                loop_out = tuple(c for g in cyc.stem_labels for c in g)
-                stem_out = tuple(c for g in stem for c in g)
-                if loop_out:
-                    return up_word(stem_out, loop_out)
-    raise EpsilonLoopOutput(str(x))
-
-
-def _path_between(starts, target, succ):
-    """Labels of some path from a start node to target, or None."""
-    if target in starts:
-        return ()
-    parent = {}
-    seen = set(starts)
-    queue = list(starts)
-    while queue:
-        nd = queue.pop(0)
-        for (lab, m) in succ(nd):
-            if m not in seen:
-                seen.add(m)
-                parent[m] = (nd, lab)
-                if m == target:
-                    labels = []
-                    k = m
-                    while k in parent:
-                        k, l2 = parent[k]
-                        labels.append(l2)
-                    return tuple(reversed(labels))
-                queue.append(m)
-    return None
+        lasso = find_lasso([(q, 0, 0) for q in t.initial], succ_phase,
+                           lambda nd: nd[2] == 0 and nd[0] in t.final)
+        if lasso is None:
+            raise EpsilonLoopOutput(str(x))
+    return up_word(tuple(c for g in lasso.stem_labels for c in g),
+                   tuple(c for g in lasso.loop_labels for c in g))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +218,7 @@ def functionality_check(t: Transducer, bound: Optional[int] = None
         nph = (1 if q1 in final else 0) if ph == 0 else \
               (0 if q2 in final else 1)
         out = []
-        for (p, a, r1, g1) in t.transitions:
-            if p != q1:
-                continue
+        for (a, r1, g1) in t.out_arcs(q1):
             for (r2, g2) in t.arcs(q2, a):
                 ns = advance_status(status, g1, g2, bound)
                 out.append(((a, g1, g2), (r1, r2, ns, nph)))
@@ -308,9 +296,7 @@ def decide_continuity(t: Transducer, variant: str = "cont"
     def succ(node):
         q1, q2, status = node
         out = []
-        for (p, a, r1, g1) in t.transitions:
-            if p != q1:
-                continue
+        for (a, r1, g1) in t.out_arcs(q1):
             for (r2, g2) in t.arcs(q2, a):
                 ns = advance_status(status, g1, g2, bound)
                 out.append(((a, g1, g2), (r1, r2, ns)))
@@ -395,7 +381,7 @@ def _build_witness(t, u_labels, v_labels, w1_labels, r1, w_labels, r2):
 def _accepting_continuation(t: Transducer, q) -> UPWord:
     """Input UP word accepted from q (exists by trimness)."""
     def succ(s):
-        return [(a, r) for (p, a, r, _) in t.transitions if p == s]
+        return [(a, r) for (a, r, _) in t.out_arcs(s)]
     lasso = find_lasso([q], succ, lambda s: s in t.final)
     assert lasso is not None, "state not trim"
     return lasso_word(lasso)
@@ -414,8 +400,8 @@ def _pair_cycle(t, q1, q2, need_final, eps1=False, eps2=False):
     def succ(node):
         (s1, s2), flag = node
         out = []
-        for (p, a, r1, g1) in t.transitions:
-            if p != s1 or (eps1 and g1):
+        for (a, r1, g1) in t.out_arcs(s1):
+            if eps1 and g1:
                 continue
             for (r2, g2) in t.arcs(s2, a):
                 if eps2 and g2:
@@ -465,9 +451,7 @@ def _mismatching_tail(t, q2, pending: Word):
     queue = [start]
     while queue:
         (s, j) = queue.pop(0)
-        for (p, a, r, g) in t.transitions:
-            if p != s:
-                continue
+        for (a, r, g) in t.out_arcs(s):
             rest = pending[j:]
             m = mismatch(g, rest)
             if m is not None:
@@ -502,10 +486,8 @@ def _pair_mismatching_tails(t, q1, q2, status, bound):
     while queue:
         node = queue.pop(0)
         (s1, s2, st) = node
-        moves = [(1, (a, g), (r, s2)) for (p, a, r, g) in t.transitions
-                 if p == s1]
-        moves += [(2, (a, g), (s1, r)) for (p, a, r, g) in t.transitions
-                  if p == s2]
+        moves = [(1, (a, g), (r, s2)) for (a, r, g) in t.out_arcs(s1)]
+        moves += [(2, (a, g), (s1, r)) for (a, r, g) in t.out_arcs(s2)]
         for side, lab, (n1, n2) in moves:
             g = lab[1]
             st2 = advance_status(st, g if side == 1 else (),

@@ -22,7 +22,7 @@ from typing import Tuple, Union
 from .oneway import (EpsilonLoopOutput, Transducer, eval_up,
                      functionality_check, transducer, trim_transducer)
 from .twoway import Output, eval_up_2way
-from .words import UPWord, Word, up_lcp, up_word
+from .words import UPWord, Word, up_lcp, up_word, words_up_to
 
 
 @dataclass(frozen=True)
@@ -73,12 +73,6 @@ def _evaluator(machine):
     return ev
 
 
-def _words_up_to(letters, lo, hi):
-    for k in range(lo, hi + 1):
-        for w in itertools.product(letters, repeat=k):
-            yield w
-
-
 def _stable_up_to(imgs, window: int) -> int:
     """Positions where the family's images can be trusted: below the
     least pairwise lcp among the last three samples.  (Pairwise, since
@@ -122,16 +116,22 @@ def brute_force_check(machine, variant: str, bound: int):
             cache[x] = ev(x)
         return cache[x]
 
-    for u in _words_up_to(letters, 0, bound):
-        for v in _words_up_to(letters, 1, bound):
+    for u in words_up_to(letters, 0, bound):
+        for v in words_up_to(letters, 1, bound):
             if variant == "cont" and image(u, v) is None:
                 continue
             tails = []
-            for w in _words_up_to(letters, 0, bound):
-                for z in _words_up_to(letters, 1, bound):
-                    imgs = [image(u + v * n + w, z)
-                            for n in range(1, n_max + 1)]
-                    if any(i is None for i in imgs):
+            for w in words_up_to(letters, 0, bound):
+                for z in words_up_to(letters, 1, bound):
+                    # a family with one image outside the domain is skipped,
+                    # so its later images need not be evaluated
+                    imgs = []
+                    for n in range(1, n_max + 1):
+                        img = image(u + v * n + w, z)
+                        if img is None:
+                            break
+                        imgs.append(img)
+                    if len(imgs) < n_max:
                         continue
                     takes = [i.take(window) for i in imgs]
                     lcps = [up_lcp(a, b) for a, b in zip(imgs, imgs[1:])]

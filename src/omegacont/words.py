@@ -10,7 +10,7 @@ out of the period's tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, product
 from math import lcm
 from typing import Iterator, Sequence, Tuple
 
@@ -21,6 +21,13 @@ Word = Tuple[Symbol, ...]
 def as_word(w: Sequence) -> Word:
     """Coerce a sequence (e.g. a str) into a symbol tuple."""
     return tuple(w)
+
+
+def words_up_to(letters, lo: int, hi: int) -> Iterator[Word]:
+    """All words over letters with length lo..hi, shortest first and in
+    the order of letters within each length."""
+    for k in range(lo, hi + 1):
+        yield from product(letters, repeat=k)
 
 
 def primitive_root(v: Word) -> Word:

@@ -56,6 +56,16 @@ class TestEvalMember:
         assert run(capsys, "member", fixture_path("t_c"), "aa(c)")[0] == 0
         assert run(capsys, "member", fixture_path("t_c"), "ca(c)")[0] == 1
 
+    def test_accepted_with_finite_image(self, capsys, tmp_path):
+        p = tmp_path / "silent.txt"
+        p.write_text("type: nft\nalphabet: a\noutputs: a\nstates: q\n"
+                     'initial: q\nfinal: q\ntrans: q a q ""\n')
+        code, out, _ = run(capsys, "member", str(p), "(a)")
+        assert (code, out.strip()) == (0, "true")
+        code, _, err = run(capsys, "eval", str(p), "(a)")
+        assert code == 65
+        assert "every accepting run has a finite image" in err
+
     def test_bad_up_word(self, capsys):
         code, _, err = run(capsys, "eval", fixture_path("t_c"), "aaa")
         assert code == 65
