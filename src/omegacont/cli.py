@@ -18,7 +18,8 @@ from .loops import NotIdempotent, NotInPrefDomain, decompose, rho
 from .oneway import (EpsilonLoopOutput, Transducer, decide_continuity,
                      domain_automaton, eval_up, trim_transducer)
 from .oracle import BadPairFound, brute_force_check, random_instance
-from .stream_eval import DeadInput, mismatch_exists, stream_start, stream_step
+from .stream_eval import (DeadInput, mismatch_verdict, stream_start,
+                          stream_step)
 from .textio import (ParseError, ValidationError, format_up, format_word,
                      parse_spec, parse_up, parse_word, serialize)
 from .twoway import Output, TwoWayPLA, TwoWayTransducer, eval_up_2way
@@ -143,11 +144,18 @@ def cmd_mismatch(args) -> int:
     m = _load(args.file)
     if isinstance(m, BuchiAutomaton):
         return _data_error("mismatch needs a transducer")
-    got = mismatch_exists(m, parse_word(args.u), parse_word(args.v),
-                          state_cap=args.state_cap,
-                          ext_bound=args.ext_bound)
-    print("yes" if got else "no")
-    return 0 if got else 1
+    got, exact = mismatch_verdict(m, parse_word(args.u), parse_word(args.v),
+                                  state_cap=args.state_cap,
+                                  ext_bound=args.ext_bound)
+    if got:
+        print("yes")
+        return 0
+    if not exact:
+        # only bounded extensions were sampled
+        print(f"unknown up to ext-bound {args.ext_bound}")
+        return 2
+    print("no")
+    return 1
 
 
 def cmd_witness(args) -> int:

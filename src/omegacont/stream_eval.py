@@ -1,31 +1,42 @@
 """Streaming computation of a function on an infinite input.
 
 The streaming machine keeps two buffers: the input consumed so far and
-the output committed so far.  After each input symbol it greedily
-commits output symbols that are safe, where a symbol g is safe when
+the output committed so far.  After each input symbol it commits the
+output symbols that are safe, where a symbol g is safe when
 committed + g is a prefix of f(y) for every domain word y extending the
 consumed input.  For continuous functions this makes progress; for
 discontinuous ones the committed buffer can starve forever.
 
-Safety is decided by the mismatch question: is there y with
-consumed . y in dom f and the candidate output not a prefix of
-f(consumed . y)?  One-way machines answer it through
-universal_prefix_consistent; two-way machines through a product
-two-way automaton whose domain is exactly the mismatching inputs,
-converted to a Buchi automaton and tested for emptiness.
+A plain deterministic two-way machine commits the output of its own
+run on the consumed input u.  The run on any u.y agrees with the run on
+u until the head first leaves u to the right, so that output is a prefix
+of f(u.y) for every domain word u.y; and once some domain word extends
+u, each next symbol of it is the only safe one.  A run that blocks or
+loops inside u proves that no domain word extends u; otherwise the
+domain oracle (Pref(dom f), built once per stream) decides.
+
+One-way and look-ahead machines commit greedily, letter by letter,
+through the mismatch question: is there y with consumed . y in dom f
+and the candidate output not a prefix of f(consumed . y)?  One-way
+machines answer it through universal_prefix_consistent; look-ahead
+machines, after look-ahead elimination, through a product two-way
+automaton whose domain is exactly the mismatching inputs, converted to
+a Buchi automaton and tested for emptiness.  (A look-ahead machine's
+run depends on the infinite future, so its run output is not safe to
+commit.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .buchi import all_up_words, is_empty, pref_automaton
 from .oneway import (Transducer, domain_automaton, trim_transducer,
                      universal_prefix_consistent)
 from .twoway import (ENDMARKER, DomainOracle, Output, StateCapExceeded,
                      TwoWayPLA, TwoWayTransducer, domain_nba, eval_up_2way,
-                     run_finite)
+                     f_star)
 from .words import Word, as_word, mismatch, up_word
 
 
@@ -38,6 +49,9 @@ class StreamState:
     machine: object  # Transducer, TwoWayTransducer or TwoWayPLA
     consumed: Word = ()
     committed: Word = ()
+    # Pref(dom) oracle of a plain two-way machine, built on the first
+    # step with that step's state_cap and ext_bound
+    oracle: Optional[DomainOracle] = None
 
 
 def _letter(sym):
@@ -141,40 +155,46 @@ def _mismatch_exists_2way(t: TwoWayTransducer, u, v, state_cap: int,
     return False, False
 
 
+def mismatch_verdict(machine, u, v, state_cap: int = 12,
+                     ext_bound: int = 4) -> Tuple[bool, bool]:
+    """(answer, exact) for the mismatch question of mismatch_exists.
+    A yes is always sound; a no is exact only when the two-way route
+    stayed within its caps instead of sampling bounded extensions."""
+    u, v = as_word(u), as_word(v)
+    if isinstance(machine, Transducer):
+        return not universal_prefix_consistent(machine, u, v), True
+    if isinstance(machine, TwoWayPLA):
+        from .lookahead import eliminate_lookahead
+        machine = eliminate_lookahead(machine)
+    return _mismatch_exists_2way(machine, u, v, state_cap, ext_bound)
+
+
 def mismatch_exists(machine, u, v, state_cap: int = 12,
                     ext_bound: int = 4) -> bool:
     """Is there y with u.y in dom f and v not a prefix of f(u.y)?"""
-    u, v = as_word(u), as_word(v)
-    if isinstance(machine, Transducer):
-        return not universal_prefix_consistent(machine, u, v)
-    if isinstance(machine, TwoWayPLA):
-        from .lookahead import eliminate_lookahead
-        elim = eliminate_lookahead(machine)
-        return _mismatch_exists_2way(elim, u, v, state_cap, ext_bound)[0]
-    return _mismatch_exists_2way(machine, u, v, state_cap, ext_bound)[0]
+    return mismatch_verdict(machine, u, v, state_cap, ext_bound)[0]
 
 
-def _extendable(machine, w, state_cap: int, ext_bound: int) -> bool:
-    """Does some domain word extend the finite input w?"""
+def _extendable(machine, w, ext_bound: int) -> bool:
+    """Does some domain word extend the finite input w?  Exact for a
+    one-way machine; a look-ahead machine samples bounded ultimately
+    periodic extensions, which is sound for yes-answers only."""
     w = as_word(w)
     if isinstance(machine, Transducer):
         return pref_automaton(domain_automaton(machine)).accepts(w)
-    if isinstance(machine, TwoWayPLA):
-        for e in all_up_words(machine.alphabet, ext_bound, ext_bound):
-            x = up_word(w + e.prefix, e.period)
-            if x.take(len(w)) == w and \
-                    isinstance(eval_up_2way(machine, x), Output):
-                return True
-        return False
-    return DomainOracle(machine, state_cap=state_cap,
-                        ext_bound=ext_bound).pref_member(w)
+    for e in all_up_words(machine.alphabet, ext_bound, ext_bound):
+        x = up_word(w + e.prefix, e.period)
+        if x.take(len(w)) == w and \
+                isinstance(eval_up_2way(machine, x), Output):
+            return True
+    return False
 
 
 def _commit_cap(machine, consumed: Word) -> int:
-    """How far the committed buffer may grow: the most output the
-    machine itself has produced on the consumed input.  Once the image
-    is fully determined every prefix is safe, so without this cap the
-    greedy commit loop would never stop."""
+    """How far the committed buffer of a one-way or look-ahead machine
+    may grow: the most output the machine itself has produced on the
+    consumed input.  Once the image is fully determined every prefix is
+    safe, so without this cap the greedy commit loop would never stop."""
     if isinstance(machine, Transducer):
         t = trim_transducer(machine)
         best = {q: 0 for q in t.initial}
@@ -186,11 +206,9 @@ def _commit_cap(machine, consumed: Word) -> int:
                         nxt[r] = n + len(g)
             best = nxt
         return max(best.values(), default=0)
-    if isinstance(machine, TwoWayPLA):
-        per_step = max((len(g) for (_, g, _) in machine.delta.values()),
-                       default=0)
-        return len(consumed) * per_step
-    return len(run_finite(machine, consumed).output)
+    per_step = max((len(g) for (_, g, _) in machine.delta.values()),
+                   default=0)
+    return len(consumed) * per_step
 
 
 def stream_start(machine) -> StreamState:
@@ -202,11 +220,20 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     """Feed one input symbol; returns the new state and the output
     symbols that became safe to commit (possibly none).
 
+    A plain two-way machine commits the output of its run on the
+    consumed input, once the run reaches the right end and the domain
+    oracle (built on the first step, then carried in the state) accepts
+    the consumed input as a prefix of the domain.  One-way and
+    look-ahead machines commit greedily, one letter at a time, each
+    letter checked by the mismatch question.
+
     Raises DeadInput when the consumed input stops being a prefix of
     any domain word.
     """
     consumed = s.consumed + (a,)
-    if not _extendable(s.machine, consumed, state_cap, ext_bound):
+    if isinstance(s.machine, TwoWayTransducer):
+        return _stream_step_2way(s, consumed, state_cap, ext_bound)
+    if not _extendable(s.machine, consumed, ext_bound):
         raise DeadInput("".join(map(str, consumed)))
     committed = s.committed
     emitted = []
@@ -224,6 +251,17 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
                 progress = True
                 break
     return StreamState(s.machine, consumed, committed), tuple(emitted)
+
+
+def _stream_step_2way(s: StreamState, consumed: Word, state_cap: int,
+                      ext_bound: int) -> Tuple[StreamState, Word]:
+    oracle = s.oracle or DomainOracle(s.machine, state_cap=state_cap,
+                                      ext_bound=ext_bound)
+    committed = f_star(s.machine, consumed, oracle)
+    if committed is None:
+        raise DeadInput("".join(map(str, consumed)))
+    return (StreamState(s.machine, consumed, committed, oracle),
+            committed[len(s.committed):])
 
 
 def stream_feed(machine, symbols) -> Tuple[StreamState, Word]:

@@ -99,6 +99,11 @@ class TestStream:
         assert code == 0
         assert all(line.endswith("-> _") for line in out.splitlines())
 
+    def test_raw_two_way_stream(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("aab#"))
+        code, out, _ = run(capsys, "stream", fixture_path("dbl"), "--raw")
+        assert (code, out.strip()) == (0, "aabaab")
+
     def test_dead_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("ca"))
         code, _, err = run(capsys, "stream", fixture_path("t_c"))
@@ -155,6 +160,16 @@ class TestMismatch:
                    "a#", "ab")[0] == 0
         assert run(capsys, "mismatch", fixture_path("dbl"),
                    "a#", "aa")[0] == 1
+
+    def test_sampled_no_is_unknown(self, capsys):
+        # dbl has 3 states, over the cap: only bounded extensions are
+        # sampled, so finding no mismatch proves nothing
+        code, out, _ = run(capsys, "--state-cap", "2", "--ext-bound", "2",
+                           "mismatch", fixture_path("dbl"), "a#", "aa")
+        assert (code, out.strip()) == (2, "unknown up to ext-bound 2")
+        code, out, _ = run(capsys, "--state-cap", "2", "--ext-bound", "2",
+                           "mismatch", fixture_path("dbl"), "a#", "ab")
+        assert (code, out.strip()) == (0, "yes")
 
 
 class TestTransforms:

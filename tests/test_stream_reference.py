@@ -1,0 +1,130 @@
+"""The plain two-way streaming route against the greedy mismatch loop.
+
+stream_step commits a plain two-way machine's run output, checked by
+the domain oracle.  _reference_step keeps the former route: the domain
+oracle decides DeadInput, then output letters are committed greedily,
+each one only when the mismatch question says no domain extension
+contradicts it, up to the length of the run's output.  Both must emit
+the same symbols on every step.
+"""
+
+import itertools
+
+import pytest
+
+from omegacont.fixtures import block_doubler
+from omegacont.stream_eval import (DeadInput, StreamState, mismatch_exists,
+                                   stream_start, stream_step)
+from omegacont.twoway import ENDMARKER, DomainOracle, run_finite, two_way
+
+STATE_CAP, EXT_BOUND = 12, 4
+
+
+def _reference_step(s: StreamState, a):
+    consumed = s.consumed + (a,)
+    oracle = DomainOracle(s.machine, state_cap=STATE_CAP,
+                          ext_bound=EXT_BOUND)
+    if not oracle.pref_member(consumed):
+        raise DeadInput("".join(map(str, consumed)))
+    committed = s.committed
+    emitted = []
+    letters = sorted(s.machine.output_alphabet)
+    cap = len(run_finite(s.machine, consumed).output)
+    progress = True
+    while progress and len(committed) < cap:
+        progress = False
+        for g in letters:
+            cand = committed + (g,)
+            if not mismatch_exists(s.machine, consumed, cand,
+                                   STATE_CAP, EXT_BOUND):
+                committed = cand
+                emitted.append(g)
+                progress = True
+                break
+    return StreamState(s.machine, consumed, committed), tuple(emitted)
+
+
+def _steps(step, machine, word):
+    """Emitted symbols of each step, ending with "dead" if one raises
+    DeadInput."""
+    s = stream_start(machine)
+    out = []
+    for a in word:
+        try:
+            s, emitted = step(s, a)
+        except DeadInput:
+            out.append("dead")
+            break
+        out.append("".join(emitted))
+    return out
+
+
+def _words(alphabet, max_len):
+    return ["".join(w) for k in range(1, max_len + 1)
+            for w in itertools.product(sorted(alphabet), repeat=k)]
+
+
+DBL = block_doubler()
+
+
+@pytest.mark.parametrize(
+    "word", _words(DBL.alphabet, 2) + ["ab#", "ba#", "aa#"])
+def test_block_doubler_matches_reference(word):
+    assert _steps(stream_step, DBL, word) == \
+        _steps(_reference_step, DBL, word)
+
+
+def _doubled_closed_blocks_then_open(word):
+    """What every domain extension of word agrees on under the block
+    doubler: each #-closed block written twice, then the open block."""
+    *closed, open_block = word.split("#")
+    return "".join(b + b for b in closed) + open_block
+
+
+def test_block_doubler_closed_form():
+    for word in _words(DBL.alphabet, 4):
+        s = stream_start(DBL)
+        for k, a in enumerate(word, start=1):
+            s, _ = stream_step(s, a)
+            assert "".join(s.committed) == \
+                _doubled_closed_blocks_then_open(word[:k]), word[:k]
+
+
+def _a_copier():
+    """Copies a's rightward and has no move on b: every input with a b
+    is outside the domain."""
+    return two_way("ab", "a", ["q"],
+                   {("q", ENDMARKER, "q", "", 1), ("q", "a", "q", "a", 1)},
+                   "q", ["q"])
+
+
+def _a_checker():
+    """Walks right over a's, goes back on b, and blocks at the left
+    endmarker: every input with a b is outside the domain, yet the run
+    on it moves left first."""
+    return two_way("ab", "a", ["q", "back"],
+                   {("q", ENDMARKER, "q", "", 1), ("q", "a", "q", "a", 1),
+                    ("q", "b", "back", "", -1),
+                    ("back", "a", "back", "", -1)},
+                   "q", ["q"])
+
+
+@pytest.mark.parametrize("machine", [_a_copier(), _a_checker()])
+def test_dead_input_on_first_blocking_symbol(machine):
+    s = stream_start(machine)
+    for a in "aa":
+        s, emitted = stream_step(s, a)
+        assert emitted == ("a",)
+    with pytest.raises(DeadInput, match="aab"):
+        stream_step(s, "b")
+    assert _steps(stream_step, machine, "aaba") == ["a", "a", "dead"]
+    assert _steps(_reference_step, machine, "aaba") == ["a", "a", "dead"]
+
+
+def test_oracle_built_once_per_stream():
+    s = stream_step(stream_start(DBL), "a")[0]
+    oracle = s.oracle
+    assert oracle is not None
+    for a in "b#a":
+        s = stream_step(s, a)[0]
+        assert s.oracle is oracle
