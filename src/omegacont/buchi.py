@@ -2,9 +2,14 @@
 
 Transitions are a set of (state, symbol, state) triples.  Acceptance:
 some run visits a final state infinitely often.  Most decision
-procedures here reduce to finding an accepting lasso in a derived
-graph, so a generic search over (node, label, node) successor functions
-is provided and reused by the other modules.
+procedures here reduce to searching a derived graph given by a
+successor function node -> (label, node) pairs.  Every such search in
+the package goes through one breadth-first kernel defined here:
+explore (the reachable part, with parent edges), bfs_path (a shortest
+non-empty path to a goal node) and path_to (reading a path off the
+parent edges).  find_lasso, the reachable parts of product and closure,
+and the paired-run searches of the one-way decision procedures are
+built on it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 
-from .words import UPWord, Word, as_word
+from .words import UPWord
 
 State = Hashable
 Node = Hashable
@@ -83,6 +88,68 @@ class Lasso:
     loop_labels: Tuple[object, ...]
 
 
+def explore(starts: Iterable[Node],
+            successors: Callable[[Node], Iterable[Tuple[object, Node]]]):
+    """Breadth-first search of the graph reachable from starts.
+
+    Returns (succs, parent): succs maps each reachable node, in
+    breadth-first order, to the tuple of its (label, node) successors,
+    and parent maps each reached node other than a start to the
+    (node, label) edge it was first reached by.  Starts are
+    de-duplicated in order; successors is called once per node.
+    """
+    succs = {}
+    parent = {}
+    queue = deque(dict.fromkeys(starts))
+    seen = set(queue)
+    while queue:
+        n = queue.popleft()
+        out = succs[n] = tuple(successors(n))
+        for (lab, m) in out:
+            if m not in seen:
+                seen.add(m)
+                parent[m] = (n, lab)
+                queue.append(m)
+    return succs, parent
+
+
+def path_to(parent, n) -> Tuple[Tuple[Node, ...], Tuple[object, ...]]:
+    """(nodes, labels) of the path to n along parent edges, from the
+    start it was reached from; len(nodes) == len(labels) + 1."""
+    nodes, labels = [n], []
+    while n in parent:
+        n, lab = parent[n]
+        nodes.append(n)
+        labels.append(lab)
+    return tuple(reversed(nodes)), tuple(reversed(labels))
+
+
+def bfs_path(starts: Iterable[Node],
+             successors: Callable[[Node], Iterable[Tuple[object, Node]]],
+             goal: Callable[[Node], bool]):
+    """Shortest non-empty path from starts to a node satisfying goal, as
+    (nodes_after_each_edge, labels), or None.
+
+    Breadth-first, with starts de-duplicated in order and successors
+    scanned in their given order; the goal is tested on every edge
+    before the seen check, so the path may close back on a start.
+    """
+    parent = {}
+    queue = deque(dict.fromkeys(starts))
+    seen = set(queue)
+    while queue:
+        n = queue.popleft()
+        for (lab, m) in successors(n):
+            if goal(m):
+                nodes, labels = path_to(parent, n)
+                return nodes[1:] + (m,), labels + (lab,)
+            if m not in seen:
+                seen.add(m)
+                parent[m] = (n, lab)
+                queue.append(m)
+    return None
+
+
 def find_lasso(initial_nodes: Iterable[Node],
                successors: Callable[[Node], Iterable[Tuple[object, Node]]],
                is_final: Callable[[Node], bool]) -> Optional[Lasso]:
@@ -98,73 +165,13 @@ def find_lasso(initial_nodes: Iterable[Node],
     the first one on a cycle is returned, with its breadth-first stem
     and shortest cycle.
     """
-    parent = {}
-    succs = {}  # reachable node -> its successor list, in BFS order
-    queue = deque(dict.fromkeys(initial_nodes))
-    seen = set(queue)
-    while queue:
-        n = queue.popleft()
-        out = succs[n] = tuple(successors(n))
-        for (lab, m) in out:
-            if m not in seen:
-                seen.add(m)
-                parent[m] = (n, lab)
-                queue.append(m)
-
-    def path_to(n):
-        nodes, labels = [n], []
-        while n in parent:
-            n, lab = parent[n]
-            nodes.append(n)
-            labels.append(lab)
-        return tuple(reversed(nodes)), tuple(reversed(labels))
-
+    succs, parent = explore(initial_nodes, successors)
     for f in succs:
         if not is_final(f):
             continue
-        cycle = _find_cycle(f, succs)
+        cycle = bfs_path((f,), succs.__getitem__, lambda m: m == f)
         if cycle is not None:
-            loop_nodes, loop_labels = cycle
-            stem_nodes, stem_labels = path_to(f)
-            return Lasso(stem_nodes, stem_labels, loop_nodes, loop_labels)
-    return None
-
-
-def _find_cycle(f, succs):
-    """Non-empty path f -> ... -> f, as (nodes_after_each_edge, labels),
-    over the successor lists recorded by find_lasso."""
-    cparent = {}
-    cqueue = deque()
-    cseen = set()
-
-    def rebuild(last, lab):
-        nodes, labels = [f], [lab]
-        k = last
-        while k != f:
-            k2, l2 = cparent[k]
-            nodes.append(k)
-            labels.append(l2)
-            k = k2
-        nodes.reverse()
-        labels.reverse()
-        return tuple(nodes), tuple(labels)
-
-    for (lab, m) in succs[f]:
-        if m == f:
-            return (f,), (lab,)
-        if m not in cseen:
-            cseen.add(m)
-            cparent[m] = (f, lab)
-            cqueue.append(m)
-    while cqueue:
-        n = cqueue.popleft()
-        for (lab, m) in succs[n]:
-            if m == f:
-                return rebuild(n, lab)
-            if m not in cseen:
-                cseen.add(m)
-                cparent[m] = (n, lab)
-                cqueue.append(m)
+            return Lasso(*path_to(parent, f), *cycle)
     return None
 
 
@@ -253,30 +260,32 @@ def trim(b: BuchiAutomaton) -> BuchiAutomaton:
 
 def product(b1: BuchiAutomaton, b2: BuchiAutomaton) -> BuchiAutomaton:
     """Intersection via the usual two-phase flag construction."""
-    states = set()
-    trans = set()
-    initial = {(q1, q2, 0) for q1 in b1.initial for q2 in b2.initial}
-    stack = list(initial)
-    states |= initial
-    while stack:
-        (q1, q2, ph) = stack.pop()
+    alphabet = b1.alphabet & b2.alphabet
+    initial = frozenset((q1, q2, 0) for q1 in b1.initial for q2 in b2.initial)
+
+    def succ(node):
+        q1, q2, ph = node
         # Phase flips on leaving a final state of the watched component,
         # so "phase 0 with q1 final" recurs only if both finals recur.
         if ph == 0:
             nph = 1 if q1 in b1.final else 0
         else:
             nph = 0 if q2 in b2.final else 1
-        for a in b1.alphabet & b2.alphabet:
-            for r1 in b1.successors(q1, a):
-                for r2 in b2.successors(q2, a):
-                    node = (r1, r2, nph)
-                    trans.add(((q1, q2, ph), a, node))
-                    if node not in states:
-                        states.add(node)
-                        stack.append(node)
+        return [(a, (r1, r2, nph)) for a in alphabet
+                for r1 in b1.successors(q1, a)
+                for r2 in b2.successors(q2, a)]
+
+    states, trans = _reachable_part(initial, succ)
     final = frozenset(s for s in states if s[2] == 0 and s[0] in b1.final)
-    return BuchiAutomaton(b1.alphabet & b2.alphabet, frozenset(states),
-                          frozenset(trans), frozenset(initial), final)
+    return BuchiAutomaton(alphabet, states, trans, initial, final)
+
+
+def _reachable_part(initial, succ):
+    """States and (state, symbol, state) transitions reachable from
+    initial under succ."""
+    succs, _ = explore(initial, succ)
+    return (frozenset(succs),
+            frozenset((n, a, m) for n, out in succs.items() for (a, m) in out))
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +334,16 @@ def closure(b: BuchiAutomaton) -> BuchiAutomaton:
         # Empty language: closure is empty too.
         return BuchiAutomaton(b.alphabet, frozenset(), frozenset(),
                               frozenset(), frozenset())
-    states = {init}
-    trans = set()
-    stack = [init]
-    while stack:
-        s = stack.pop()
+
+    def succ(s):
         for a in t.alphabet:
             nxt = frozenset(r for q in s for r in t.successors(q, a))
-            if not nxt:
-                continue
-            trans.add((s, a, nxt))
-            if nxt not in states:
-                states.add(nxt)
-                stack.append(nxt)
-    return BuchiAutomaton(b.alphabet, frozenset(states), frozenset(trans),
-                          frozenset([init]), frozenset(states))
+            if nxt:
+                yield a, nxt
+
+    states, trans = _reachable_part([init], succ)
+    return BuchiAutomaton(b.alphabet, states, trans, frozenset([init]),
+                          states)
 
 
 # ---------------------------------------------------------------------------

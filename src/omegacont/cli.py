@@ -12,8 +12,7 @@ import sys
 from dataclasses import replace
 
 from .buchi import BuchiAutomaton, closure, member_up, trim
-from .continuity_regular import (NoWitnessUpTo, NotContinuous, SearchBounds,
-                                 search_witness)
+from .continuity_regular import NotContinuous, SearchBounds, search_witness
 from .loops import NotIdempotent, NotInPrefDomain, decompose, rho
 from .oneway import (EpsilonLoopOutput, Transducer, decide_continuity,
                      domain_automaton, eval_up, trim_transducer)

@@ -23,12 +23,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .buchi import all_up_words
 from .lookahead import (MultipleStates, NoState, eliminate_lookahead,
                         good_annotation)
 from .loops import NotIdempotent, NotInPrefDomain, is_idempotent, rho
 from .twoway import (ENDMARKER, DomainOracle, Output, TwoWayPLA,
-                     TwoWayTransducer, eval_up_2way, run_finite)
+                     TwoWayTransducer, eval_up_2way, run_finite,
+                     sampled_extensions)
 from .words import Word, mismatch, up_word, words_up_to
 
 
@@ -177,13 +177,8 @@ class _AnnotatedSpace:
         return out
 
     def pref_member(self, w: Word) -> bool:
-        base = self.project(w)[1:]
-        for e in all_up_words(self.letters, self.ext_bound, self.ext_bound):
-            x = up_word(base + e.prefix, e.period)
-            if x.take(len(base)) != base:
-                continue
-            if not isinstance(eval_up_2way(self.original, x), Output):
-                continue
+        for x, _ in sampled_extensions(self.original, self.project(w)[1:],
+                                       self.ext_bound):
             marked = up_word((ENDMARKER,) + x.prefix, x.period)
             try:
                 ann = good_annotation(self.p_aut, marked)

@@ -1,12 +1,23 @@
-"""Example machines used by the tests, the docs, and the CLI demos."""
+"""Example machines used by the tests, the docs, and the CLI demos.
+
+Each machine is defined once, in the machine file of the same fixture
+name shipped in omegacont/machines, and loaded from there through
+textio; the look-ahead automata are those embedded in the look-ahead
+machines.
+"""
 
 from __future__ import annotations
 
-from .buchi import BuchiAutomaton, buchi
-from .oneway import Transducer, transducer
-from .twoway import TwoWayPLA, TwoWayTransducer, two_way, two_way_pla
+from .buchi import BuchiAutomaton
+from .oneway import Transducer
+from .textio import fixture_path, parse_spec
+from .twoway import ENDMARKER as ENDMARKER
+from .twoway import TwoWayPLA, TwoWayTransducer
 
-ENDMARKER = "^"
+
+def _load(name: str):
+    with open(fixture_path(name), encoding="utf-8") as f:
+        return parse_spec(f.read()).machine
 
 
 def branch_switch() -> Transducer:
@@ -16,14 +27,7 @@ def branch_switch() -> Transducer:
     a^n b^omega stay at distance 1 from c^omega while the inputs
     converge to a^omega.
     """
-    return transducer(
-        "ab", "cd",
-        ["q0", "qa", "p", "qb"],
-        {("q0", "a", "qa", "c"), ("qa", "a", "qa", "c"),
-         ("q0", "a", "p", "d"), ("p", "a", "p", "d"),
-         ("p", "b", "qb", "d"), ("q0", "b", "qb", "d"),
-         ("qb", "b", "qb", "d")},
-        ["q0"], ["qa", "qb"])
+    return _load("t_nc")
 
 
 def prefix_doubler() -> Transducer:
@@ -32,29 +36,14 @@ def prefix_doubler() -> Transducer:
     g(a^omega) = a^omega, g(a^n c^omega) = a^2n c^omega,
     g(a^n d^omega) = a^n d^omega.
     """
-    return transducer(
-        "acd", "acd",
-        ["q0", "p", "s", "r", "c", "d"],
-        {("q0", "a", "p", "a"), ("p", "a", "p", "a"),
-         ("q0", "a", "s", "aa"), ("s", "a", "s", "aa"),
-         ("s", "c", "c", "c"), ("q0", "c", "c", "c"), ("c", "c", "c", "c"),
-         ("q0", "a", "r", "a"), ("r", "a", "r", "a"),
-         ("r", "d", "d", "d"), ("q0", "d", "d", "d"), ("d", "d", "d", "d")},
-        ["q0"], ["p", "c", "d"])
+    return _load("t_c")
 
 
 def tail_classifier() -> Transducer:
     """One-way form of f(w) = a^omega if w has infinitely many a's,
     else b^omega.  Continuous nowhere it matters: a^n b^omega converges
     to a^omega but the images sit at distance 1."""
-    return transducer(
-        "ab", "ab",
-        ["iA", "iB", "g", "h"],
-        {("iA", "a", "iA", "a"), ("iA", "b", "iB", "a"),
-         ("iB", "a", "iA", "a"), ("iB", "b", "iB", "a"),
-         ("g", "a", "g", "b"), ("g", "b", "g", "b"),
-         ("g", "b", "h", "b"), ("h", "b", "h", "b")},
-        ["iB", "g"], ["iA", "h"])
+    return _load("t_inf")
 
 
 def block_doubler() -> TwoWayTransducer:
@@ -64,18 +53,7 @@ def block_doubler() -> TwoWayTransducer:
     last, unterminated block are outside the domain (the head parks).
     The rewind state is the Buchi-final one, visited once per block.
     """
-    letters = "abcd"
-    trans = {("s1", ENDMARKER, "s1", "", 1),
-             ("s1", "#", "back", "", -1),
-             ("back", "#", "s2", "", 1),
-             ("back", ENDMARKER, "s2", "", 1),
-             ("s2", "#", "s1", "", 1)}
-    for a in letters:
-        trans |= {("s1", a, "s1", a, 1),
-                  ("back", a, "back", "", -1),
-                  ("s2", a, "s2", a, 1)}
-    return two_way(set(letters) | {"#"}, set(letters),
-                   ["s1", "back", "s2"], trans, "s1", ["back"])
+    return _load("dbl")
 
 
 def p_suffix_shape() -> BuchiAutomaton:
@@ -86,18 +64,7 @@ def p_suffix_shape() -> BuchiAutomaton:
     p7/p8: infinitely many a's starting with b/a,
     p1/p2/p6: the same classes after the left endmarker.
     """
-    trans = set()
-    for a in "ab":
-        trans |= {("p3", a, "p3"), ("p3", a, "p4")}
-    trans |= {("p4", "a", "p5"), ("p5", "b", "p5"),
-              ("p1", ENDMARKER, "p3"), ("p1", ENDMARKER, "p4"),
-              ("p2", ENDMARKER, "p5"),
-              ("p6", ENDMARKER, "p7"), ("p6", ENDMARKER, "p8"),
-              ("p7", "b", "p7"), ("p7", "b", "p8"),
-              ("p8", "a", "p8"), ("p8", "a", "p7")}
-    return buchi(set("ab") | {ENDMARKER},
-                 [f"p{i}" for i in range(1, 9)],
-                 trans, [], ["p5", "p8"])
+    return stem_doubler().lookahead.automaton
 
 
 def stem_doubler() -> TwoWayPLA:
@@ -108,23 +75,7 @@ def stem_doubler() -> TwoWayPLA:
     The look-ahead spots the last a: symbols still followed by one (p3)
     are copied, the last a (p4) triggers a rewind and a second copy.
     """
-    E = ENDMARKER
-    las = [f"p{i}" for i in range(1, 9)]
-    trans = {("q0", E, "p1", "q1", "", 1),
-             ("q0", E, "p2", "q4", "", 1)}
-    for a in "ab":
-        trans |= {("q1", a, "p3", "q1", a, 1),
-                  ("q3", a, "p3", "q3", a, 1)}
-    trans |= {("q1", "a", "p4", "q2", "", -1),
-              ("q3", "a", "p4", "q4", "", 1)}
-    for p in las:
-        for a in "ab":
-            trans.add(("q2", a, p, "q2", "", -1))
-        trans |= {("q2", E, p, "q3", "", 1),
-                  ("q4", "b", p, "q4", "b", 1)}
-    return two_way_pla(set("ab"), set("ab"),
-                       ["q0", "q1", "q2", "q3", "q4"],
-                       trans, "q0", p_suffix_shape())
+    return _load("j")
 
 
 def p_settling_letter() -> BuchiAutomaton:
@@ -132,30 +83,14 @@ def p_settling_letter() -> BuchiAutomaton:
     letter they settle on: GA = a^omega, AC/CC = eventually c^omega
     (a's left / none), AD/DD the same for d, IA/IC/ID endmarked.
     Suffixes outside these shapes get no state."""
-    trans = {("GA", "a", "GA"),
-             ("AC", "a", "AC"), ("AC", "a", "CC"), ("CC", "c", "CC"),
-             ("AD", "a", "AD"), ("AD", "a", "DD"), ("DD", "d", "DD"),
-             ("IA", ENDMARKER, "GA"),
-             ("IC", ENDMARKER, "AC"), ("IC", ENDMARKER, "CC"),
-             ("ID", ENDMARKER, "AD"), ("ID", ENDMARKER, "DD")}
-    return buchi(set("acd") | {ENDMARKER},
-                 ["GA", "AC", "CC", "AD", "DD", "IA", "IC", "ID"],
-                 trans, [], ["GA", "CC", "DD"])
+    return prefix_doubler_2way().lookahead.automaton
 
 
 def prefix_doubler_2way() -> TwoWayPLA:
     """Look-ahead version of the continuous prefix doubler:
     g(a^omega) = a^omega, g(a^n c^omega) = a^2n c^omega,
     g(a^n d^omega) = a^n d^omega."""
-    E = ENDMARKER
-    trans = {("t", E, p0, "t", "", 1) for p0 in ("IA", "IC", "ID")}
-    trans |= {("t", "a", "GA", "t", "a", 1),
-              ("t", "a", "AC", "t", "aa", 1),
-              ("t", "a", "AD", "t", "a", 1),
-              ("t", "c", "CC", "t", "c", 1),
-              ("t", "d", "DD", "t", "d", 1)}
-    return two_way_pla(set("acd"), set("acd"), ["t"], trans, "t",
-                       p_settling_letter())
+    return _load("t_c_2way")
 
 
 def p_letter_count() -> BuchiAutomaton:
@@ -163,17 +98,7 @@ def p_letter_count() -> BuchiAutomaton:
     a's (A8/B7, by first letter) from those with finitely many (FA with
     a first, FB0 with b first but a's left, FBF for b^omega), plus the
     two endmarked classes."""
-    trans = {("A8", "a", "A8"), ("A8", "a", "B7"),
-             ("B7", "b", "A8"), ("B7", "b", "B7"),
-             ("FA", "a", "FA"), ("FA", "a", "FB0"), ("FA", "a", "FBF"),
-             ("FB0", "b", "FA"), ("FB0", "b", "FB0"),
-             ("FBF", "b", "FBF"),
-             ("Iinf", ENDMARKER, "A8"), ("Iinf", ENDMARKER, "B7"),
-             ("Ifin", ENDMARKER, "FA"), ("Ifin", ENDMARKER, "FB0"),
-             ("Ifin", ENDMARKER, "FBF")}
-    return buchi(set("ab") | {ENDMARKER},
-                 ["A8", "B7", "FA", "FB0", "FBF", "Iinf", "Ifin"],
-                 trans, [], ["A8", "FBF"])
+    return tail_classifier_2way().lookahead.automaton
 
 
 def tail_classifier_2way() -> TwoWayPLA:
@@ -181,13 +106,4 @@ def tail_classifier_2way() -> TwoWayPLA:
     infinitely many a's and b^omega otherwise.  Each cell's output is
     read off the look-ahead class, so the function is total on
     {a,b}^omega and nowhere continuous along a^n b^omega -> a^omega."""
-    E = ENDMARKER
-    trans = {("t", E, "Iinf", "t", "", 1),
-             ("t", E, "Ifin", "t", "", 1)}
-    for a in "ab":
-        trans |= {("t", a, "A8", "t", "a", 1),
-                  ("t", a, "B7", "t", "a", 1)}
-        for p in ("FA", "FB0", "FBF"):
-            trans.add(("t", a, p, "t", "b", 1))
-    return two_way_pla(set("ab"), set("ab"), ["t"], trans, "t",
-                       p_letter_count())
+    return _load("f_inf")

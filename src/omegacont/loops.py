@@ -13,7 +13,7 @@ runs on u1 u2 u3 and u1 u2 u2 u3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from .twoway import FiniteRun, TwoWayTransducer, run_finite

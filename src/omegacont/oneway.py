@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import FrozenSet, Hashable, Optional, Tuple
 
-from .buchi import BuchiAutomaton, Lasso, find_lasso, lasso_word
+from .buchi import (BuchiAutomaton, bfs_path, explore, find_lasso,
+                    lasso_word, path_to)
 from .buchi import trim as buchi_trim
 from .words import UPWord, Word, as_word, mismatch, up_word
 
@@ -55,9 +56,10 @@ class Transducer:
 
     @cached_property
     def _index(self):
-        # One pass over transitions, so every list keeps their order.
+        # One pass over the transitions in a fixed order, so searches
+        # and their witnesses do not depend on string hashing.
         out, arcs = {}, {}
-        for (q, a, r, g) in self.transitions:
+        for (q, a, r, g) in sorted(self.transitions, key=repr):
             out.setdefault(q, []).append((a, r, g))
             arcs.setdefault((q, a), []).append((r, g))
         return ({q: tuple(v) for q, v in out.items()},
@@ -74,6 +76,11 @@ class Transducer:
     @property
     def max_output_len(self) -> int:
         return max((len(g) for (_, _, _, g) in self.transitions), default=0)
+
+
+def _sorted(states):
+    """States in a fixed order, independent of string hashing."""
+    return sorted(states, key=repr)
 
 
 def transducer(alphabet, output_alphabet, states, transitions,
@@ -94,6 +101,8 @@ def domain_automaton(t: Transducer) -> BuchiAutomaton:
 
 def trim_transducer(t: Transducer) -> Transducer:
     keep = buchi_trim(domain_automaton(t)).states
+    if keep == t.states:
+        return t  # already trim: reuse its transition index
     return Transducer(
         t.alphabet, t.output_alphabet, frozenset(keep),
         frozenset(tr for tr in t.transitions
@@ -122,7 +131,7 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
         j = nxt[i]
         return [(g, (r, j)) for (r, g) in t.arcs(q, syms[i])]
 
-    lasso = find_lasso([(q, 0) for q in t.initial], succ,
+    lasso = find_lasso([(q, 0) for q in _sorted(t.initial)], succ,
                        lambda nd: nd[0] in t.final)
     if lasso is None:
         return None
@@ -142,7 +151,8 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
                 out.append((g, (r, j, nph)))
             return out
 
-        lasso = find_lasso([(q, 0, 0) for q in t.initial], succ_phase,
+        lasso = find_lasso([(q, 0, 0) for q in _sorted(t.initial)],
+                           succ_phase,
                            lambda nd: nd[2] == 0 and nd[0] in t.final)
         if lasso is None:
             raise EpsilonLoopOutput(str(x))
@@ -224,7 +234,8 @@ def functionality_check(t: Transducer, bound: Optional[int] = None
                 out.append(((a, g1, g2), (r1, r2, ns, nph)))
         return out
 
-    init = [(p1, p2, EQUAL, 0) for p1 in t.initial for p2 in t.initial]
+    ini = _sorted(t.initial)
+    init = [(p1, p2, EQUAL, 0) for p1 in ini for p2 in ini]
     lasso = find_lasso(
         init, succ,
         lambda n: n[2] in (MM, OF) and n[3] == 0 and n[0] in final)
@@ -302,34 +313,16 @@ def decide_continuity(t: Transducer, variant: str = "cont"
                 out.append(((a, g1, g2), (r1, r2, ns)))
         return out
 
-    init = [(p1, p2, EQUAL) for p1 in t.initial for p2 in t.initial]
-    parent = {}
-    order = []
-    seen = set(init)
-    queue = list(init)
-    while queue:
-        n = queue.pop(0)
-        order.append(n)
-        for (lab, m) in succ(n):
-            if m not in seen:
-                seen.add(m)
-                parent[m] = (n, lab)
-                queue.append(m)
-
-    def labels_to(n):
-        labs = []
-        while n in parent:
-            n, lab = parent[n]
-            labs.append(lab)
-        return tuple(reversed(labs))
-
+    ini = _sorted(t.initial)
+    init = [(p1, p2, EQUAL) for p1 in ini for p2 in ini]
+    order, parent = explore(init, succ)
     for node in order:
         q1, q2, status = node
         if status == MM:
             cyc = _pair_cycle(t, q1, q2, need_final)
             if cyc is None:
                 continue
-            return _build_witness(t, labels_to(node), cyc,
+            return _build_witness(t, path_to(parent, node)[1], cyc,
                                   w1_labels=(), r1=q1,
                                   w_labels=(), r2=q2)
         if status == OF:
@@ -341,7 +334,7 @@ def decide_continuity(t: Transducer, variant: str = "cont"
                 tail = _mismatching_tail(t, q2, pending)
                 if tail is not None:
                     w_labels, r2 = tail
-                    return _build_witness(t, labels_to(node), cyc,
+                    return _build_witness(t, path_to(parent, node)[1], cyc,
                                           w1_labels=(), r1=q1,
                                           w_labels=w_labels, r2=r2)
         if variant == "ucont":
@@ -354,7 +347,7 @@ def decide_continuity(t: Transducer, variant: str = "cont"
             if tails is None:
                 continue
             w1_labels, r1, w_labels, r2 = tails
-            return _build_witness(t, labels_to(node), cyc,
+            return _build_witness(t, path_to(parent, node)[1], cyc,
                                   w1_labels, r1, w_labels, r2)
     return None
 
@@ -411,32 +404,8 @@ def _pair_cycle(t, q1, q2, need_final, eps1=False, eps2=False):
         return out
 
     # Path of length >= 1 from start back to target.
-    parent = {}
-    seen = set()
-    queue = []
-    for (lab, m) in succ(start):
-        if m == target:
-            return (lab,)
-        if m not in seen:
-            seen.add(m)
-            parent[m] = (None, lab)
-            queue.append(m)
-    while queue:
-        n = queue.pop(0)
-        for (lab, m) in succ(n):
-            if m == target:
-                labs = [lab]
-                k = n
-                while k is not None:
-                    k2, l2 = parent[k]
-                    labs.append(l2)
-                    k = k2
-                return tuple(reversed(labs))
-            if m not in seen:
-                seen.add(m)
-                parent[m] = (n, lab)
-                queue.append(m)
-    return None
+    path = bfs_path((start,), succ, lambda m: m == target)
+    return None if path is None else path[1]
 
 
 def _mismatching_tail(t, q2, pending: Word):
@@ -444,31 +413,24 @@ def _mismatching_tail(t, q2, pending: Word):
 
     Returns ((a, g) labels, end state) or None.  Branches whose output
     consistently covers all of pending can never mismatch and are cut.
+    Search nodes are (state, matched length); a mismatching arc leads
+    to (state, None).
     """
-    start = (q2, 0)
-    parent = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        (s, j) = queue.pop(0)
+    def succ(node):
+        s, j = node
+        out = []
         for (a, r, g) in t.out_arcs(s):
-            rest = pending[j:]
-            m = mismatch(g, rest)
-            if m is not None:
-                labs = [(a, g)]
-                k = (s, j)
-                while k in parent:
-                    k, l2 = parent[k]
-                    labs.append(l2)
-                return tuple(reversed(labs)), r
-            if j + len(g) >= len(pending):
-                continue
-            node = (r, j + len(g))
-            if node not in seen:
-                seen.add(node)
-                parent[node] = ((s, j), (a, g))
-                queue.append(node)
-    return None
+            if mismatch(g, pending[j:]) is not None:
+                out.append(((a, g), (r, None)))
+            elif j + len(g) < len(pending):
+                out.append(((a, g), (r, j + len(g))))
+        return out
+
+    path = bfs_path(((q2, 0),), succ, lambda n: n[1] is None)
+    if path is None:
+        return None
+    nodes, labels = path
+    return labels, nodes[-1][0]
 
 
 def _pair_mismatching_tails(t, q1, q2, status, bound):
@@ -479,37 +441,26 @@ def _pair_mismatching_tails(t, q1, q2, status, bound):
     Interleaves single-side moves; the comparison status only depends
     on the output totals, not the interleaving.
     """
-    start = (q1, q2, status)
-    parent = {}
-    seen = {start}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
+    def succ(node):
         (s1, s2, st) = node
         moves = [(1, (a, g), (r, s2)) for (a, r, g) in t.out_arcs(s1)]
         moves += [(2, (a, g), (s1, r)) for (a, r, g) in t.out_arcs(s2)]
+        out = []
         for side, lab, (n1, n2) in moves:
             g = lab[1]
             st2 = advance_status(st, g if side == 1 else (),
                                  g if side == 2 else (), bound)
-            if st2 == OF:
-                continue
-            nxt = (n1, n2, st2)
-            if st2 == MM:
-                labs = [(side, lab)]
-                k = node
-                while k in parent:
-                    k, l2 = parent[k]
-                    labs.append(l2)
-                labs.reverse()
-                w1 = tuple(l for (sd, l) in labs if sd == 1)
-                w2 = tuple(l for (sd, l) in labs if sd == 2)
-                return w1, n1, w2, n2
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = (node, (side, lab))
-                queue.append(nxt)
-    return None
+            if st2 != OF:
+                out.append(((side, lab), (n1, n2, st2)))
+        return out
+
+    path = bfs_path(((q1, q2, status),), succ, lambda n: n[2] == MM)
+    if path is None:
+        return None
+    nodes, labels = path
+    w1 = tuple(l for (sd, l) in labels if sd == 1)
+    w2 = tuple(l for (sd, l) in labels if sd == 2)
+    return w1, nodes[-1][0], w2, nodes[-1][1]
 
 
 # ---------------------------------------------------------------------------

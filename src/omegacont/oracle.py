@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+from .buchi import bfs_path
 from .oneway import (EpsilonLoopOutput, Transducer, eval_up,
                      functionality_check, transducer, trim_transducer)
 from .twoway import Output, eval_up_2way
@@ -230,21 +231,10 @@ def _build_halves(rng, n_states, letters, out_letters, max_out):
 def _silent_accepting_cycle(t: Transducer) -> bool:
     """Trimmed machine has a cycle through a final state that emits
     nothing, i.e. an accepted word with a finite image."""
-    eps = {}
-    for (q, a, r, g) in t.transitions:
-        if not g:
-            eps.setdefault(q, set()).add(r)
-    for f in t.final:
-        stack, seen = [f], set()
-        while stack:
-            q = stack.pop()
-            for r in eps.get(q, ()):
-                if r == f:
-                    return True
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-    return False
+    def silent(q):
+        return [(a, r) for (a, r, g) in t.out_arcs(q) if not g]
+    return any(bfs_path((f,), silent, lambda q: q == f) is not None
+               for f in t.final)
 
 
 def random_instance(seed: int, profile: Tuple[int, int, int, int]

@@ -31,13 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .buchi import all_up_words, is_empty, pref_automaton
+from .buchi import is_empty, pref_automaton
 from .oneway import (Transducer, domain_automaton, trim_transducer,
                      universal_prefix_consistent)
-from .twoway import (ENDMARKER, DomainOracle, Output, StateCapExceeded,
-                     TwoWayPLA, TwoWayTransducer, domain_nba, eval_up_2way,
-                     f_star)
-from .words import Word, as_word, mismatch, up_word
+from .twoway import (ENDMARKER, DomainOracle, StateCapExceeded, TwoWayPLA,
+                     TwoWayTransducer, domain_nba, f_star,
+                     sampled_extensions)
+from .words import Word, as_word, mismatch
 
 
 class DeadInput(Exception):
@@ -129,13 +129,23 @@ def mismatch_automaton(t: TwoWayTransducer, u, v) -> TwoWayTransducer:
                             t.marked)
 
 
-def _mismatch_exists_2way(t: TwoWayTransducer, u, v, state_cap: int,
-                          ext_bound: int) -> Tuple[bool, bool]:
-    """(answer, exact).  The inexact route samples bounded ultimately
-    periodic extensions and is sound for yes-answers only."""
+def mismatch_verdict(machine, u, v, state_cap: int = 12,
+                     ext_bound: int = 4) -> Tuple[bool, bool]:
+    """(answer, exact) for the mismatch question of mismatch_exists.
+
+    A two-way machine is decided exactly through mismatch_automaton
+    (after look-ahead elimination, for a look-ahead machine) when the
+    caps allow.  Otherwise the machine itself is evaluated on
+    sampled_extensions of u: a yes is sound, a no is not exact."""
     u, v = as_word(u), as_word(v)
+    if isinstance(machine, Transducer):
+        return not universal_prefix_consistent(machine, u, v), True
     if not v:
         return False, True
+    t = machine
+    if isinstance(machine, TwoWayPLA):
+        from .lookahead import eliminate_lookahead
+        t = eliminate_lookahead(machine)
     if len(t.states) <= state_cap:
         try:
             a = mismatch_automaton(t, u, v)
@@ -144,29 +154,10 @@ def _mismatch_exists_2way(t: TwoWayTransducer, u, v, state_cap: int,
             return not is_empty(nba), True
         except StateCapExceeded:
             pass
-    for e in all_up_words(t.alphabet, ext_bound, ext_bound):
-        x = up_word(u + e.prefix, e.period)
-        if x.take(len(u)) != u:
-            continue
-        got = eval_up_2way(t, x)
-        if isinstance(got, Output) and \
-                mismatch(v, got.value.take(len(v))) is not None:
+    for _, y in sampled_extensions(machine, u, ext_bound):
+        if mismatch(v, y.take(len(v))) is not None:
             return True, False
     return False, False
-
-
-def mismatch_verdict(machine, u, v, state_cap: int = 12,
-                     ext_bound: int = 4) -> Tuple[bool, bool]:
-    """(answer, exact) for the mismatch question of mismatch_exists.
-    A yes is always sound; a no is exact only when the two-way route
-    stayed within its caps instead of sampling bounded extensions."""
-    u, v = as_word(u), as_word(v)
-    if isinstance(machine, Transducer):
-        return not universal_prefix_consistent(machine, u, v), True
-    if isinstance(machine, TwoWayPLA):
-        from .lookahead import eliminate_lookahead
-        machine = eliminate_lookahead(machine)
-    return _mismatch_exists_2way(machine, u, v, state_cap, ext_bound)
 
 
 def mismatch_exists(machine, u, v, state_cap: int = 12,
@@ -179,15 +170,9 @@ def _extendable(machine, w, ext_bound: int) -> bool:
     """Does some domain word extend the finite input w?  Exact for a
     one-way machine; a look-ahead machine samples bounded ultimately
     periodic extensions, which is sound for yes-answers only."""
-    w = as_word(w)
     if isinstance(machine, Transducer):
         return pref_automaton(domain_automaton(machine)).accepts(w)
-    for e in all_up_words(machine.alphabet, ext_bound, ext_bound):
-        x = up_word(w + e.prefix, e.period)
-        if x.take(len(w)) == w and \
-                isinstance(eval_up_2way(machine, x), Output):
-            return True
-    return False
+    return any(sampled_extensions(machine, w, ext_bound))
 
 
 def _commit_cap(machine, consumed: Word) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from .buchi import BuchiAutomaton, find_lasso, member_up
+from .buchi import BuchiAutomaton, all_up_words, pref_automaton
 from .words import UPWord, Word, as_word, up_word
 
 State = Hashable
@@ -432,17 +432,30 @@ def domain_nba(t: TwoWayTransducer, state_cap: int = 12,
                           nba_state_cap=nba_state_cap)
 
 
+def sampled_extensions(machine, w, ext_bound: int):
+    """(x, value) for each sampled ultimately periodic extension x of the
+    finite word w that lies in the domain of machine, with value its
+    image.  The samples are w.y for the UP words y with prefix and
+    period of length at most ext_bound, in all_up_words order; running
+    out of them proves nothing."""
+    w = as_word(w)
+    for e in all_up_words(machine.alphabet, ext_bound, ext_bound):
+        x = up_word(w + e.prefix, e.period)
+        got = eval_up_2way(machine, x)
+        if isinstance(got, Output):
+            yield x, got.value
+
+
 class DomainOracle:
     """Membership in Pref(dom t) for finite words.
 
     Uses the exact route (domain_nba + prefix automaton) when the state
-    cap allows, otherwise falls back to bounded UP-extension search,
-    which is sound for yes-answers only.
+    cap allows, otherwise falls back to sampled_extensions, which is
+    sound for yes-answers only.
     """
 
     def __init__(self, t: TwoWayTransducer, state_cap: int = 12,
                  ext_bound: int = 4):
-        from .buchi import pref_automaton
         self.t = t
         self.ext_bound = ext_bound
         self.exact = True
@@ -453,18 +466,9 @@ class DomainOracle:
             self.pref = None
 
     def pref_member(self, w) -> bool:
-        w = as_word(w)
         if self.exact:
             return self.pref.accepts(w)
-        from .buchi import all_up_words
-        for e in all_up_words(self.t.alphabet, self.ext_bound,
-                              self.ext_bound):
-            x = up_word(w + e.prefix, e.period)
-            if x.take(len(w)) != w:
-                continue
-            if isinstance(eval_up_2way(self.t, x), Output):
-                return True
-        return False
+        return any(sampled_extensions(self.t, w, self.ext_bound))
 
 
 def f_star(t: TwoWayTransducer, w, oracle: Optional[DomainOracle] = None

@@ -171,6 +171,17 @@ class TestMismatch:
                            "mismatch", fixture_path("dbl"), "a#", "ab")
         assert (code, out.strip()) == (0, "yes")
 
+    def test_look_ahead_samples_plain_words(self, capsys):
+        # t_c_2way is over the cap after look-ahead elimination, so the
+        # original machine is evaluated on sampled plain extensions
+        code, out, _ = run(capsys, "mismatch", fixture_path("t_c_2way"),
+                           "a", "c")
+        assert (code, out.strip()) == (0, "yes")
+        # every image of a domain word starting with a starts with a
+        code, out, _ = run(capsys, "mismatch", fixture_path("t_c_2way"),
+                           "a", "a")
+        assert (code, out.strip()) == (2, "unknown up to ext-bound 4")
+
 
 class TestTransforms:
     def test_trim_output_parses(self, capsys):

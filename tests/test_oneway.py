@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,3 +181,31 @@ class TestPrefixConsistency:
                     # it can miss mismatches but never invent one
                     if brute:
                         assert got, (u, w)
+
+
+class TestHashSeedIndependence:
+    """Witnesses must not follow the iteration order of string sets,
+    which changes with the interpreter's hash seed."""
+
+    SCRIPT = (
+        "from omegacont.cli import main\n"
+        "from omegacont.oneway import decide_continuity\n"
+        "from omegacont.oracle import random_instance\n"
+        "from omegacont.textio import fixture_path\n"
+        "for name in ('t_nc', 't_inf'):\n"
+        "    for cmd in ('check-cont', 'check-ucont'):\n"
+        "        main([cmd, fixture_path(name)])\n"
+        "print(decide_continuity(random_instance(40), 'ucont'))\n")
+
+    def test_same_witness_under_every_seed(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                       PYTHONPATH=src)
+            got = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            outs.add(got.stdout)
+        assert len(outs) == 1
+        assert "not continuous" in outs.pop()

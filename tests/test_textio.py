@@ -61,13 +61,6 @@ class TestRoundTrip:
             assert isinstance(mf.machine, kinds[name])
             assert serialize(mf.machine) == text
 
-    def test_shipped_files_match_constructors(self):
-        pairs = {"t_nc": fx.branch_switch(), "t_c": fx.prefix_doubler(),
-                 "j": fx.stem_doubler(), "dbl": fx.block_doubler()}
-        for name, m in pairs.items():
-            with open(fixture_path(name), encoding="utf-8") as f:
-                assert parse_spec(f.read()).machine == m
-
     def test_unknown_fixture_name(self):
         with pytest.raises(ValueError):
             fixture_path("nope")
