@@ -25,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from .lookahead import (MultipleStates, NoState, eliminate_lookahead,
                         good_annotation)
-from .loops import NotIdempotent, NotInPrefDomain, is_idempotent, rho
+from .loops import NotIdempotent, NotInPrefDomain, rho
 from .twoway import (ENDMARKER, DomainOracle, Output, TwoWayPLA,
                      TwoWayTransducer, eval_up_2way, run_finite,
                      sampled_extensions)
@@ -141,8 +141,7 @@ class _AnnotatedSpace:
     Only annotation chains consistent with the look-ahead's transitions
     are generated; u2 must additionally be able to follow itself."""
 
-    def __init__(self, t: TwoWayPLA, state_cap: int = 12,
-                 ext_bound: int = 4):
+    def __init__(self, t: TwoWayPLA, ext_bound: int = 4):
         self.original = t
         self.machine = eliminate_lookahead(t)
         self.p_aut = t.lookahead.automaton
@@ -214,7 +213,7 @@ class _AnnotatedSpace:
 
 def _make_space(t, state_cap: int = 12, ext_bound: int = 4):
     if isinstance(t, TwoWayPLA):
-        return _AnnotatedSpace(t, state_cap, ext_bound)
+        return _AnnotatedSpace(t, ext_bound)
     return _PlainSpace(t, state_cap, ext_bound)
 
 
@@ -227,11 +226,10 @@ def _verify(space, w: RegularWitness, n: int) -> bool:
     triples = ((w.u1, w.u2, w.u3), (w.u1p, w.u2p, w.u3p))
     rhos = []
     for (a, b, c) in triples:
-        if not b or not is_idempotent(m, a, b, c):
-            return False
-        if not space.pref_member(a + b + c):
+        if not b or not space.pref_member(a + b + c):
             return False
         try:
+            # rho raises NotIdempotent unless b is idempotent in context
             rhos.append(rho(m, a, b, c))
         except (NotIdempotent, NotInPrefDomain):
             return False

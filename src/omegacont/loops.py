@@ -118,7 +118,7 @@ def _border_crossings(run: FiniteRun, p: int):
     return out
 
 
-def _idempotent_with_runs(t, u1, u2, run1, run2, b=None) -> bool:
+def _idempotent_with_runs(t, u1, u2, run1, run2) -> bool:
     off = 0 if t.marked else 1
     lo = off + len(u1)
     entries = set()
@@ -127,8 +127,7 @@ def _idempotent_with_runs(t, u1, u2, run1, run2, b=None) -> bool:
             span = (lo + c * len(u2), lo + (c + 1) * len(u2))
             for tr in _factor_traversals(t, run, *span):
                 entries.add((tr.kind[0], tr.entry_state))
-    if b is None:
-        b = behavior(t, u2)
+    b = behavior(t, u2)
     bb = compose(b, b)
     for side, q in entries:
         m1, m2 = ((b.left_entry, bb.left_entry) if side == "L"
@@ -152,19 +151,6 @@ def is_idempotent(t: TwoWayTransducer, u1, u2, u3) -> bool:
     run1 = run_finite(t, u1 + u2 + u3)
     run2 = run_finite(t, u1 + u2 + u2 + u3)
     return _idempotent_with_runs(t, u1, u2, run1, run2)
-
-
-def idempotent_power(t: TwoWayTransducer, w) -> int:
-    """Least k such that w^k has idempotent behavior."""
-    b = behavior(t, w)
-    power = b
-    k = 1
-    while compose(power, power) != power:
-        power = compose(power, b)
-        k += 1
-        if k > 10000:
-            raise RuntimeError("no idempotent power found")
-    return k
 
 
 @dataclass(frozen=True)

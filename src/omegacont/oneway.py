@@ -508,8 +508,3 @@ def _consume_against(st, g: Word, w: Word):
         return MM
     k2 = k + len(g)
     return ("ext",) if k2 >= len(w) else ("pfx", k2)
-
-
-def mismatch_exists(t: Transducer, u, w) -> bool:
-    """Some x in dom f extends u with w not a prefix of f(x)."""
-    return not universal_prefix_consistent(t, u, w)

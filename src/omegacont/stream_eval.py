@@ -7,13 +7,17 @@ committed + g is a prefix of f(y) for every domain word y extending the
 consumed input.  For continuous functions this makes progress; for
 discontinuous ones the committed buffer can starve forever.
 
+Every machine kind asks one domain oracle (Pref(dom f), built once per
+stream) whether some domain word extends the consumed input u, and
+commits nothing while the answer is no.  An exact no ends the stream; a
+sampled one only means no extension was found within the bound.
+
 A plain deterministic two-way machine commits the output of its own
-run on the consumed input u.  The run on any u.y agrees with the run on
-u until the head first leaves u to the right, so that output is a prefix
-of f(u.y) for every domain word u.y; and once some domain word extends
-u, each next symbol of it is the only safe one.  A run that blocks or
-loops inside u proves that no domain word extends u; otherwise the
-domain oracle (Pref(dom f), built once per stream) decides.
+run on u.  The run on any u.y agrees with the run on u until the head
+first leaves u to the right, so that output is a prefix of f(u.y) for
+every domain word u.y; and once some domain word extends u, each next
+symbol of it is the only safe one.  A run that blocks or loops inside u
+proves that no domain word extends u.
 
 One-way and look-ahead machines commit greedily, letter by letter,
 through the mismatch question: is there y with consumed . y in dom f
@@ -31,11 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .buchi import is_empty, pref_automaton
-from .oneway import (Transducer, domain_automaton, trim_transducer,
-                     universal_prefix_consistent)
+from .buchi import is_empty
+from .oneway import Transducer, trim_transducer, universal_prefix_consistent
 from .twoway import (ENDMARKER, DomainOracle, StateCapExceeded, TwoWayPLA,
-                     TwoWayTransducer, domain_nba, f_star,
+                     TwoWayTransducer, domain_nba, run_finite,
                      sampled_extensions)
 from .words import Word, as_word, mismatch
 
@@ -49,8 +52,8 @@ class StreamState:
     machine: object  # Transducer, TwoWayTransducer or TwoWayPLA
     consumed: Word = ()
     committed: Word = ()
-    # Pref(dom) oracle of a plain two-way machine, built on the first
-    # step with that step's state_cap and ext_bound
+    # Pref(dom) oracle, built on the first step with that step's
+    # state_cap and ext_bound
     oracle: Optional[DomainOracle] = None
 
 
@@ -149,8 +152,7 @@ def mismatch_verdict(machine, u, v, state_cap: int = 12,
     if len(t.states) <= state_cap:
         try:
             a = mismatch_automaton(t, u, v)
-            nba = domain_nba(a, state_cap=len(a.states),
-                             nba_state_cap=20000)
+            nba = domain_nba(a, nba_state_cap=20000)
             return not is_empty(nba), True
         except StateCapExceeded:
             pass
@@ -164,15 +166,6 @@ def mismatch_exists(machine, u, v, state_cap: int = 12,
                     ext_bound: int = 4) -> bool:
     """Is there y with u.y in dom f and v not a prefix of f(u.y)?"""
     return mismatch_verdict(machine, u, v, state_cap, ext_bound)[0]
-
-
-def _extendable(machine, w, ext_bound: int) -> bool:
-    """Does some domain word extend the finite input w?  Exact for a
-    one-way machine; a look-ahead machine samples bounded ultimately
-    periodic extensions, which is sound for yes-answers only."""
-    if isinstance(machine, Transducer):
-        return pref_automaton(domain_automaton(machine)).accepts(w)
-    return any(sampled_extensions(machine, w, ext_bound))
 
 
 def _commit_cap(machine, consumed: Word) -> int:
@@ -205,48 +198,50 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     """Feed one input symbol; returns the new state and the output
     symbols that became safe to commit (possibly none).
 
-    A plain two-way machine commits the output of its run on the
-    consumed input, once the run reaches the right end and the domain
-    oracle (built on the first step, then carried in the state) accepts
-    the consumed input as a prefix of the domain.  One-way and
-    look-ahead machines commit greedily, one letter at a time, each
-    letter checked by the mismatch question.
+    The domain oracle is built on the stream's first step, with that
+    step's state_cap and ext_bound, and carried in the state.  Nothing
+    is committed while it cannot show that some domain word extends the
+    consumed input.  A plain two-way machine then commits the output of
+    its run on the consumed input; one-way and look-ahead machines
+    commit greedily, one letter at a time, each letter checked by the
+    mismatch question.
 
     Raises DeadInput when the consumed input stops being a prefix of
-    any domain word.
+    any domain word: on an exact no of the oracle, or when the run of a
+    plain two-way machine blocks or loops inside the consumed input.
     """
+    m = s.machine
     consumed = s.consumed + (a,)
-    if isinstance(s.machine, TwoWayTransducer):
-        return _stream_step_2way(s, consumed, state_cap, ext_bound)
-    if not _extendable(s.machine, consumed, ext_bound):
-        raise DeadInput("".join(map(str, consumed)))
+    oracle = s.oracle or DomainOracle(m, state_cap, ext_bound)
+    run = None
+    if isinstance(m, TwoWayTransducer):
+        run = run_finite(m, consumed)
+        if run.exit != "right_end":
+            raise DeadInput("".join(map(str, consumed)))
+    if not oracle.pref_member(consumed):
+        if oracle.exact:
+            raise DeadInput("".join(map(str, consumed)))
+        # only sampled: no extension found within ext_bound
+        return StreamState(m, consumed, s.committed, oracle), ()
+    if run is not None:
+        return (StreamState(m, consumed, run.output, oracle),
+                run.output[len(s.committed):])
     committed = s.committed
     emitted = []
-    letters = sorted(s.machine.output_alphabet)
-    cap = _commit_cap(s.machine, consumed)
+    letters = sorted(m.output_alphabet)
+    cap = _commit_cap(m, consumed)
     progress = True
     while progress and len(committed) < cap:
         progress = False
         for g in letters:
             cand = committed + (g,)
-            if not mismatch_exists(s.machine, consumed, cand,
-                                   state_cap, ext_bound):
+            if not mismatch_exists(m, consumed, cand, state_cap,
+                                   ext_bound):
                 committed = cand
                 emitted.append(g)
                 progress = True
                 break
-    return StreamState(s.machine, consumed, committed), tuple(emitted)
-
-
-def _stream_step_2way(s: StreamState, consumed: Word, state_cap: int,
-                      ext_bound: int) -> Tuple[StreamState, Word]:
-    oracle = s.oracle or DomainOracle(s.machine, state_cap=state_cap,
-                                      ext_bound=ext_bound)
-    committed = f_star(s.machine, consumed, oracle)
-    if committed is None:
-        raise DeadInput("".join(map(str, consumed)))
-    return (StreamState(s.machine, consumed, committed, oracle),
-            committed[len(s.committed):])
+    return StreamState(m, consumed, committed, oracle), tuple(emitted)
 
 
 def stream_feed(machine, symbols) -> Tuple[StreamState, Word]:

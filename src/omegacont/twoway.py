@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .buchi import BuchiAutomaton, all_up_words, pref_automaton
+from .oneway import Transducer, domain_automaton
 from .words import UPWord, Word, as_word, up_word
 
 State = Hashable
@@ -27,7 +28,8 @@ ENDMARKER = "^"
 
 
 class StateCapExceeded(Exception):
-    """Two-way to one-way conversion refused: too many states."""
+    """Two-way to one-way conversion stopped: it built more states
+    than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -272,7 +274,7 @@ def _reachable_states(t: TwoWayTransducer):
 
 
 def _cell_step(t: TwoWayTransducer, c_left, a, final_states,
-               comeback_states=None):
+               comeback_states):
     """All crossing sequences at the right boundary of a cell holding a,
     given the sequence c_left at its left boundary.
 
@@ -293,16 +295,10 @@ def _cell_step(t: TwoWayTransducer, c_left, a, final_states,
     link: the c_left odd entry whose required left exit it produced, or
     None when it merely bounced back rightward (a freshly born chain).
     Yields (crossing_sequence, saw_final, links) triples with links a
-    dict {produced odd index: c_left odd index or None}.
+    dict {produced odd index: c_left odd index or None}.  Comebacks are
+    guessed among comeback_states only.
     """
     results = []
-    if comeback_states is None:
-        # a comeback re-enters this cell via some left move taken by a
-        # run from the initial state, so only reachable targets of
-        # left-moving transitions are worth guessing
-        reach = _reachable_states(t)
-        comeback_states = {r for (r, _, d) in t.delta.values()
-                           if d == -1 and r in reach}
 
     def explore(cur, prov, li, produced, links, saw_final):
         while True:
@@ -348,7 +344,7 @@ def _cell_step(t: TwoWayTransducer, c_left, a, final_states,
     return results
 
 
-def two_way_to_nba(t: TwoWayTransducer, state_cap: int = 12,
+def two_way_to_nba(t: TwoWayTransducer,
                    nba_state_cap: int = 100000) -> BuchiAutomaton:
     """One-way Buchi automaton accepting exactly the words on which t
     has an accepting (rightward-diverging, final-infinitely-often) run.
@@ -358,11 +354,12 @@ def two_way_to_nba(t: TwoWayTransducer, state_cap: int = 12,
     the tracked set empties every currently open chain is re-tracked
     (a reset).  The phase bit realizes the conjunction of the two
     infinitary requirements, finals infinitely often and resets
-    infinitely often, the accept flag marking its completions.
+    infinitely often, the accept flag marking its completions.  Raises
+    StateCapExceeded once more than nba_state_cap states are built.
     """
-    if len(t.states) > state_cap:
-        raise StateCapExceeded(
-            f"{len(t.states)} states exceeds cap {state_cap}")
+    # a comeback re-enters a cell via some left move taken by a run
+    # from the initial state, so only reachable targets of left-moving
+    # transitions are worth guessing
     reach = _reachable_states(t)
     comeback = {r for (r, _, d) in t.delta.values()
                 if d == -1 and r in reach}
@@ -404,7 +401,7 @@ def two_way_to_nba(t: TwoWayTransducer, state_cap: int = 12,
                           frozenset(trans), frozenset(init_nodes), final)
 
 
-def domain_nba(t: TwoWayTransducer, state_cap: int = 12,
+def domain_nba(t: TwoWayTransducer,
                nba_state_cap: int = 100000) -> BuchiAutomaton:
     """NBA for the domain of t: words with an accepting run whose output
     is infinite (runs with finite output compute no omega-word).
@@ -413,9 +410,6 @@ def domain_nba(t: TwoWayTransducer, state_cap: int = 12,
     state (0), then waiting for an emission (1); completing both marks
     the phase-2 target states, which are the Buchi-final ones.
     """
-    if len(t.states) > state_cap:
-        raise StateCapExceeded(
-            f"{len(t.states)} states exceeds cap {state_cap}")
     states = {(q, ph) for q in t.states for ph in (0, 1, 2)}
     delta = {}
     for (q, a), (r, g, d) in t.delta.items():
@@ -428,8 +422,7 @@ def domain_nba(t: TwoWayTransducer, state_cap: int = 12,
     acc = TwoWayTransducer(t.alphabet, t.output_alphabet,
                            frozenset(states), delta, (t.initial, 0),
                            frozenset((q, 2) for q in t.states), t.marked)
-    return two_way_to_nba(acc, state_cap=3 * state_cap,
-                          nba_state_cap=nba_state_cap)
+    return two_way_to_nba(acc, nba_state_cap=nba_state_cap)
 
 
 def sampled_extensions(machine, w, ext_bound: int):
@@ -447,28 +440,35 @@ def sampled_extensions(machine, w, ext_bound: int):
 
 
 class DomainOracle:
-    """Membership in Pref(dom t) for finite words.
+    """Membership in Pref(dom f) for finite words: does some domain word
+    extend w?  One oracle answers for every machine kind.
 
-    Uses the exact route (domain_nba + prefix automaton) when the state
-    cap allows, otherwise falls back to sampled_extensions, which is
-    sound for yes-answers only.
+    A one-way machine is exact, through the prefix automaton of its
+    domain automaton.  A plain two-way machine with at most state_cap
+    states is exact, through domain_nba and its prefix automaton, unless
+    the conversion overflows its build budget.  Otherwise (and always
+    for a look-ahead machine) the oracle samples sampled_extensions:
+    a yes is sound, a no is not, and exact is False.
     """
 
-    def __init__(self, t: TwoWayTransducer, state_cap: int = 12,
-                 ext_bound: int = 4):
-        self.t = t
+    def __init__(self, machine, state_cap: int = 12, ext_bound: int = 4):
+        self.machine = machine
         self.ext_bound = ext_bound
-        self.exact = True
-        try:
-            self.pref = pref_automaton(domain_nba(t, state_cap))
-        except StateCapExceeded:
-            self.exact = False
-            self.pref = None
+        self.pref = None
+        if isinstance(machine, Transducer):
+            self.pref = pref_automaton(domain_automaton(machine))
+        elif isinstance(machine, TwoWayTransducer) and \
+                len(machine.states) <= state_cap:
+            try:
+                self.pref = pref_automaton(domain_nba(machine))
+            except StateCapExceeded:
+                pass
+        self.exact = self.pref is not None
 
     def pref_member(self, w) -> bool:
         if self.exact:
             return self.pref.accepts(w)
-        return any(sampled_extensions(self.t, w, self.ext_bound))
+        return any(sampled_extensions(self.machine, w, self.ext_bound))
 
 
 def f_star(t: TwoWayTransducer, w, oracle: Optional[DomainOracle] = None

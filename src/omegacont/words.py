@@ -79,10 +79,6 @@ class UPWord:
         for i in count():
             yield self[i]
 
-    def map(self, f) -> "UPWord":
-        return up_word(tuple(f(a) for a in self.prefix),
-                       tuple(f(a) for a in self.period))
-
     def __str__(self) -> str:
         pre = "".join(map(str, self.prefix))
         per = "".join(map(str, self.period))

@@ -273,18 +273,6 @@ class TestCriterion8Streaming:
         capsys.readouterr()
 
 
-def brute_mismatch_2way(t, u, v, bound=4):
-    u, v = as_word(u), as_word(v)
-    for e in all_up_words(sorted(t.alphabet), bound, bound):
-        if e.take(len(u)) != u:
-            continue
-        got = eval_up_2way(t, e)
-        if isinstance(got, Output) and \
-                mismatch(v, got.value.take(len(v))) is not None:
-            return True
-    return False
-
-
 def brute_mismatch_1way(images, u, v):
     u, v = as_word(u), as_word(v)
     for word, img in images:
@@ -313,11 +301,11 @@ class TestCriterion9MismatchOracle:
                 want = brute_mismatch_1way(images, u, v)
                 assert mismatch_exists(t, u, v) == want, (u, v)
 
-    def test_block_doubler_against_brute_force(self):
+    def test_block_doubler_against_brute_force(self, dbl_brute_mismatch):
         t = fx.block_doubler()
         for u in ["", "a", "#", "a#", "ab"]:
             for v in ["a", "b", "aa", "ab", "aab"]:
-                want = brute_mismatch_2way(t, u, v, bound=4)
+                want = dbl_brute_mismatch(u, v)
                 assert mismatch_exists(t, u, v) == want, (u, v)
 
 

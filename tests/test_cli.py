@@ -110,6 +110,13 @@ class TestStream:
         assert code == 65
         assert "ca" in err
 
+    def test_sampled_no_is_not_dead_input(self, capsys, monkeypatch):
+        # a#a#... is in the domain; sampling within bound 1 misses it
+        monkeypatch.setattr("sys.stdin", io.StringIO("a\n"))
+        code, out, err = run(capsys, "--state-cap", "1", "--ext-bound", "1",
+                             "stream", fixture_path("dbl"))
+        assert (code, out.splitlines(), err) == (0, ["a -> _"], "")
+
 
 class TestWitness:
     def test_witness_found(self, capsys):

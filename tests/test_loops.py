@@ -6,7 +6,7 @@ import pytest
 from omegacont.fixtures import ENDMARKER, block_doubler
 from omegacont.loops import (
     NotIdempotent, NotInPrefDomain, Behavior, behavior, compose, decompose,
-    idempotent_power, is_idempotent, pump_predict, rho,
+    is_idempotent, pump_predict, rho,
 )
 from omegacont.twoway import DomainOracle, run_finite, two_way
 from omegacont.words import as_word
@@ -76,13 +76,6 @@ class TestIdempotency:
         t = block_doubler()
         assert is_idempotent(t, "ab#", "c#", "d#")
         assert is_idempotent(t, "ab#", "c", "#d#")
-
-    def test_idempotent_power(self):
-        t = block_doubler()
-        assert idempotent_power(t, "") == 1
-        k = idempotent_power(t, "c#")
-        b = behavior(t, "c#" * k)
-        assert compose(b, b) == b
 
 
 def idempotent_triples(t, alphabet, max_len=2, limit=30):

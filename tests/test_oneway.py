@@ -10,9 +10,10 @@ from omegacont.buchi import all_up_words, member_up
 from omegacont.fixtures import branch_switch, prefix_doubler, tail_classifier
 from omegacont.oneway import (
     EpsilonLoopOutput, decide_continuity, domain_automaton, eval_up,
-    functionality_check, mismatch_exists, transducer, trim_transducer,
+    functionality_check, transducer, trim_transducer,
     universal_prefix_consistent,
 )
+from omegacont.stream_eval import mismatch_exists
 from omegacont.words import as_word, up_equal, up_lcp, up_word
 
 
@@ -150,13 +151,6 @@ class TestPrefixConsistency:
         assert universal_prefix_consistent(t, "a", "")
         assert universal_prefix_consistent(t, "ab", "d")
         assert not universal_prefix_consistent(t, "ab", "c")
-
-    def test_duality(self):
-        t = prefix_doubler()
-        for u in ["", "a", "aa", "aac", "ad"]:
-            for w in ["", "a", "aa", "ac", "d"]:
-                assert mismatch_exists(t, u, w) == \
-                    (not universal_prefix_consistent(t, u, w))
 
     def test_against_up_extension_brute_force(self):
         for t in (branch_switch(), prefix_doubler()):

@@ -1,29 +1,15 @@
 import pytest
 
-from omegacont.buchi import all_up_words
 from omegacont.fixtures import (
     block_doubler, branch_switch, prefix_doubler, tail_classifier,
+    tail_classifier_2way,
 )
 from omegacont.oneway import eval_up, universal_prefix_consistent
 from omegacont.stream_eval import (
     DeadInput, StreamState, mismatch_exists, stream_feed, stream_start,
     stream_step,
 )
-from omegacont.twoway import Output, eval_up_2way
-from omegacont.words import as_word, mismatch, up_word
-
-
-def brute_mismatch(t, u, v, bound=4):
-    """Reference answer over bounded ultimately periodic extensions."""
-    u, v = as_word(u), as_word(v)
-    for e in all_up_words(sorted(t.alphabet), bound, bound):
-        if e.take(len(u)) != u:
-            continue
-        got = eval_up_2way(t, e)
-        if isinstance(got, Output) and \
-                mismatch(v, got.value.take(len(v))) is not None:
-            return True
-    return False
+from omegacont.words import as_word, up_word
 
 
 class TestMismatchExists:
@@ -52,11 +38,11 @@ class TestMismatchExists:
         assert not mismatch_exists(t, "a#", "aa")
         assert mismatch_exists(t, "a#", "ab")
 
-    def test_block_doubler_matches_brute_force(self):
+    def test_block_doubler_matches_brute_force(self, dbl_brute_mismatch):
         t = block_doubler()
         for u in ["", "a", "#", "a#", "ab"]:
             for v in ["a", "b", "aa", "ab", "aab"]:
-                want = brute_mismatch(t, u, v, bound=4)
+                want = dbl_brute_mismatch(u, v)
                 assert mismatch_exists(t, u, v) == want, (u, v)
 
 
@@ -90,6 +76,32 @@ class TestStreaming:
     def test_dead_input(self):
         with pytest.raises(DeadInput):
             stream_feed(prefix_doubler(), "ca")
+
+    def test_sampled_no_is_not_dead_input(self):
+        # state cap 1 forces the sampled oracle, and no extension of a
+        # within bound 1 is in the domain, yet a#a#... is
+        t = block_doubler()
+        s, e = stream_step(stream_start(t), "a", state_cap=1, ext_bound=1)
+        assert not s.oracle.exact
+        assert e == () and s.committed == ()
+        # the oracle keeps bound 1, under which no period of length 1
+        # closes blocks forever: the stream goes on without output
+        for a in "#a":
+            s, e = stream_step(s, a, state_cap=1, ext_bound=1)
+            assert e == ()
+        assert s.consumed == as_word("a#a")
+
+    def test_one_oracle_per_stream_for_every_kind(self):
+        # one-way and plain two-way oracles are exact; a look-ahead
+        # machine's samples
+        for t, exact in ((prefix_doubler(), True), (block_doubler(), True),
+                         (tail_classifier_2way(), False)):
+            s = stream_step(stream_start(t), "a")[0]
+            oracle = s.oracle
+            assert oracle.exact == exact
+            for _ in range(2):
+                s = stream_step(s, "a")[0]
+                assert s.oracle is oracle
 
     def test_progress_on_continuous_machine(self):
         t = prefix_doubler()

@@ -182,7 +182,7 @@ class TestTwoWayToNba:
     def test_state_cap(self):
         t = block_doubler()
         with pytest.raises(StateCapExceeded):
-            two_way_to_nba(t, state_cap=2)
+            two_way_to_nba(t, nba_state_cap=2)
 
     def test_domain_matches_evaluation(self):
         t = block_doubler()
