@@ -226,12 +226,14 @@ def _verify(space, w: RegularWitness, n: int) -> bool:
     triples = ((w.u1, w.u2, w.u3), (w.u1p, w.u2p, w.u3p))
     rhos = []
     for (a, b, c) in triples:
-        if not b or not space.pref_member(a + b + c):
+        if not b:
             return False
         try:
             # rho raises NotIdempotent unless b is idempotent in context
             rhos.append(rho(m, a, b, c))
         except (NotIdempotent, NotInPrefDomain):
+            return False
+        if not space.pref_member(a + b + c):
             return False
     i = w.mismatch_position
     if i >= len(rhos[0]) or i >= len(rhos[1]) or rhos[0][i] == rhos[1][i]:

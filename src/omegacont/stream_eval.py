@@ -202,9 +202,11 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     step's state_cap and ext_bound, and carried in the state.  Nothing
     is committed while it cannot show that some domain word extends the
     consumed input.  A plain two-way machine then commits the output of
-    its run on the consumed input; one-way and look-ahead machines
-    commit greedily, one letter at a time, each letter checked by the
-    mismatch question.
+    its run on the consumed input: the run on any domain word extending
+    it agrees with that run until the head first leaves the consumed
+    input to the right.  One-way and look-ahead machines commit
+    greedily, one letter at a time, each letter checked by the mismatch
+    question.
 
     Raises DeadInput when the consumed input stops being a prefix of
     any domain word: on an exact no of the oracle, or when the run of a

@@ -469,22 +469,3 @@ class DomainOracle:
         if self.exact:
             return self.pref.accepts(w)
         return any(sampled_extensions(self.machine, w, self.ext_bound))
-
-
-def f_star(t: TwoWayTransducer, w, oracle: Optional[DomainOracle] = None
-           ) -> Optional[Word]:
-    """Finite-prefix function: the run's output when the head falls off
-    the right end and w is a prefix of some domain word; None else.
-
-    The output is a prefix of t's image of every domain word extending
-    w, because the run on such a word agrees with the run on w until
-    the head first leaves w to the right.  A run that blocks or loops
-    inside w does so on every extension of w."""
-    if oracle is None:
-        oracle = DomainOracle(t)
-    run = run_finite(t, w)
-    if run.exit != "right_end":
-        return None
-    if not oracle.pref_member(w):
-        return None
-    return run.output

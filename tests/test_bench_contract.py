@@ -1,5 +1,5 @@
 """The benchmark under perfbench/ reads names from the library: traced
-functions, stream_step's keywords, cli.search_witness and the fields of
+functions, stream_step, cli.search_witness and the fields of
 the results.  Its self-check runs every workload on tiny inputs, so a
 renamed or reshaped name fails here rather than in a benchmark run.
 
@@ -10,9 +10,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-
-from omegacont.fixtures import block_doubler
-from omegacont.stream_eval import stream_start, stream_step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,10 +24,3 @@ def test_bench_selfcheck_passes(tmp_path):
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
 
-
-def test_stream_step_takes_ext_bound_by_keyword():
-    # the stream-2way workload passes ext_bound= on its longest input,
-    # which the self-check's tiny inputs leave out
-    s, emitted = stream_step(stream_start(block_doubler()), "a",
-                             ext_bound=3)
-    assert emitted == ("a",) and s.committed == ("a",)

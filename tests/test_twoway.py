@@ -8,9 +8,10 @@ from omegacont.fixtures import (
 from omegacont.lookahead import (
     MultipleStates, NoState, eliminate_lookahead, good_annotation,
 )
+from omegacont.stream_eval import stream_feed, stream_start, stream_step
 from omegacont.twoway import (
     DomainOracle, NotInDomain, Output, StateCapExceeded, eval_up_2way,
-    domain_nba, f_star, run_finite, two_way, two_way_to_nba,
+    domain_nba, run_finite, two_way, two_way_to_nba,
 )
 from omegacont.words import UPWord, up_equal, up_word
 
@@ -202,34 +203,38 @@ class TestTwoWayToNba:
 
 
 class TestFStar:
+    """The finite-prefix function f_*: a plain two-way stream commits
+    the run's output on the consumed prefix."""
+
     def test_prefix_outputs(self):
         t = block_doubler()
-        orc = DomainOracle(t)
-        assert orc.exact
         cases = {"": "", "a": "a", "ab": "ab", "ab#": "abab",
                  "a#b": "aab", "aa#": "aaaa"}
         for w, out in cases.items():
-            got = f_star(t, w, orc)
-            assert got is not None and word_str(got) == out, w
+            s, _ = stream_feed(t, w)
+            assert s.oracle is None or s.oracle.exact
+            assert word_str(s.committed) == out, w
 
     def test_prefix_limit_chain(self):
         # f_*(prefixes) form a chain converging to the full image
         t = block_doubler()
-        orc = DomainOracle(t)
         x = up_word("ab#c#", "d#")
         full = eval_up_2way(t, x)
         assert isinstance(full, Output)
-        prev = ()
-        for n in range(0, 20):
-            out = f_star(t, x.take(n), orc)
-            assert out is not None
-            assert out[:len(prev)] == prev
-            assert full.value.take(len(out)) == out
-            prev = out
+        s = stream_start(t)
+        for a in x.take(20):
+            prev = s.committed
+            s, emitted = stream_step(s, a)
+            assert s.committed == prev + emitted
+            assert full.value.take(len(s.committed)) == s.committed
 
     def test_fallback_oracle_sound(self):
         t = block_doubler()
         orc = DomainOracle(t, state_cap=1, ext_bound=3)
         assert not orc.exact
         assert orc.pref_member("ab#")
-        assert f_star(t, "ab#", orc) is not None
+        s = stream_start(t)
+        for a in "ab#":
+            s, _ = stream_step(s, a, state_cap=1, ext_bound=3)
+        assert not s.oracle.exact
+        assert word_str(s.committed) == "abab"
