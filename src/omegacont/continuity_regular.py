@@ -217,7 +217,7 @@ def _make_space(t, state_cap: int = 12, ext_bound: int = 4):
     return _PlainSpace(t, state_cap, ext_bound)
 
 
-def _verify(space, w: RegularWitness, n: int) -> bool:
+def _verify(space, w: RegularWitness, n: int, pref) -> bool:
     m = space.machine
     if space.project(w.u1) != space.project(w.u1p):
         return False
@@ -233,7 +233,7 @@ def _verify(space, w: RegularWitness, n: int) -> bool:
             rhos.append(rho(m, a, b, c))
         except (NotIdempotent, NotInPrefDomain):
             return False
-        if not space.pref_member(a + b + c):
+        if not pref(a + b + c):
             return False
     i = w.mismatch_position
     if i >= len(rhos[0]) or i >= len(rhos[1]) or rhos[0][i] == rhos[1][i]:
@@ -257,7 +257,8 @@ def verify_witness(t, w: RegularWitness, n: int = 4,
                    state_cap: int = 12, ext_bound: int = 4) -> bool:
     """Recheck every witness condition and that the output mismatch
     persists at the witness position for 1..n copies of the loops."""
-    return _verify(_make_space(t, state_cap, ext_bound), w, n)
+    space = _make_space(t, state_cap, ext_bound)
+    return _verify(space, w, n, space.pref_member)
 
 
 def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
@@ -301,6 +302,6 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
                 continue
             w = RegularWitness(e1[0], e1[1], e1[2], e2[0], e2[1], e2[2],
                                pos, variant)
-            if _verify(space, w, bounds.verify_n):
+            if _verify(space, w, bounds.verify_n, pref):
                 return NotContinuous(w, space.pref_exact)
     return NoWitnessUpTo(bounds, space.pref_exact)

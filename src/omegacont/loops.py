@@ -4,7 +4,8 @@ factors, idempotent loops, and the pumping decomposition.
 The behavior of a factor records, for each state entering from either
 side, where the run exits (side, state, whether anything was emitted)
 or that it never exits.  Behaviors compose; a factor is idempotent when
-its behavior composed with itself is itself.  For an idempotent middle
+its behavior composed with itself is itself (checked in context on the
+entries that the copy borders name).  For an idempotent middle
 factor u2 the run on u1 u2^{n+1} u3 factors as
 pi_0 tr(C_1)^n pi_1 ... tr(C_k)^n pi_k where the C_i are the factor's
 crossing traversals; the decomposition is extracted by aligning the
@@ -103,48 +104,50 @@ def compose(b1: Behavior, b2: Behavior) -> Behavior:
                     {q: walk(2, "R", q) for q in states})
 
 
-def _border_crossings(run: FiniteRun, p: int):
-    """Ordered (direction, state) crossings of the boundary between
-    cells p-1 and p."""
+def _crossings(run: FiniteRun, borders):
+    """Ordered (direction, state) crossings of each border p (between
+    cells p-1 and p), read in one pass over the run."""
+    seqs = {p: [] for p in borders}
     seq = list(run.configs)
     if run.exit == "right_end":
         seq.append((run.exit_state, run.configs[-1][1] + 1))
-    out = []
-    for (s1, p1), (s2, p2) in zip(seq, seq[1:]):
-        if p1 == p - 1 and p2 == p:
-            out.append(("R", s2))
-        elif p1 == p and p2 == p - 1:
-            out.append(("L", s2))
-    return out
+    for (_, p1), (s2, p2) in zip(seq, seq[1:]):
+        if p2 == p1 + 1 and p2 in seqs:
+            seqs[p2].append(("R", s2))
+        elif p2 == p1 - 1 and p1 in seqs:
+            seqs[p1].append(("L", s2))
+    return [seqs[p] for p in borders]
 
 
 def _idempotent_with_runs(t, u1, u2, run1, run2) -> bool:
-    off = 0 if t.marked else 1
-    lo = off + len(u1)
-    entries = set()
-    for run, copies in ((run1, 1), (run2, 2)):
-        for c in range(copies):
-            span = (lo + c * len(u2), lo + (c + 1) * len(u2))
-            for tr in _factor_traversals(t, run, *span):
-                entries.add((tr.kind[0], tr.entry_state))
-    b = behavior(t, u2)
-    bb = compose(b, b)
-    for side, q in entries:
-        m1, m2 = ((b.left_entry, bb.left_entry) if side == "L"
-                  else (b.right_entry, bb.right_entry))
-        if m1[q] != m2[q]:
+    n = len(u2)
+    lo = (0 if t.marked else 1) + len(u1)
+    borders = _crossings(run1, (lo, lo + n))
+    borders += _crossings(run2, (lo, lo + n, lo + 2 * n))
+    if any(c != borders[0] for c in borders[1:]):
+        return False
+    # Equal borders: every copy is entered exactly at their crossings,
+    # a rightward one at its left end, a leftward one at its right end
+    # (a run starting inside the first copy, on a marked tape, crosses
+    # none and so never leaves it).  On each entry one copy must exit
+    # as two do: b == compose(b, b) on the entries that occur.
+    uu = u2 + u2
+    for d, q in set(borders[0]):
+        if d == "R":
+            same = _simulate(t, u2, q, 0) == _simulate(t, uu, q, 0)
+        else:
+            same = _simulate(t, u2, q, n - 1) == _simulate(t, uu, q, 2 * n - 1)
+        if not same:
             return False
-    borders = [_border_crossings(run1, lo + i * len(u2)) for i in (0, 1)]
-    borders += [_border_crossings(run2, lo + i * len(u2)) for i in (0, 1, 2)]
-    return all(c == borders[0] for c in borders[1:])
+    return True
 
 
 def is_idempotent(t: TwoWayTransducer, u1, u2, u3) -> bool:
-    """Whether u2 is an idempotent loop in context: its crossing
-    behavior composed with itself is itself (on the entries occurring
-    at the copy borders), and every copy border of u1 u2 u3 and
-    u1 u2 u2 u3 carries the same crossing sequence, so extra copies
-    replicate the run shape."""
+    """Whether u2 is an idempotent loop in context: every copy border
+    of u1 u2 u3 and u1 u2 u2 u3 carries the same crossing sequence (one
+    scan per run), so extra copies replicate the run shape, and on each
+    entry of that sequence u2 and u2 u2 are simulated to the same exit
+    (its behavior composed with itself is itself where it is used)."""
     u1, u2, u3 = as_word(u1), as_word(u2), as_word(u3)
     if not u2:
         return True
@@ -216,8 +219,7 @@ def _out(run: FiniteRun, i: int, j: int) -> Word:
     return tuple(c for g in run.chunks[i:j] for c in g)
 
 
-def decompose(t: TwoWayTransducer, u1, u2, u3, oracle=None
-              ) -> RunDecomposition:
+def decompose(t: TwoWayTransducer, u1, u2, u3) -> RunDecomposition:
     """Pumping decomposition of the run on u1 u2 u3 around the
     idempotent factor u2, aligned against the run on u1 u2 u2 u3."""
     u1, u2, u3 = as_word(u1), as_word(u2), as_word(u3)
@@ -225,27 +227,21 @@ def decompose(t: TwoWayTransducer, u1, u2, u3, oracle=None
     run2 = run_finite(t, u1 + u2 + u2 + u3)
     if u2 and not _idempotent_with_runs(t, u1, u2, run1, run2):
         raise NotIdempotent(str(u2))
-    if oracle is not None and not oracle.pref_member(u1 + u2 + u3):
-        raise NotInPrefDomain(str(u1 + u2 + u3))
-
     if run1.exit != "right_end" or run2.exit != "right_end":
         raise NotInPrefDomain("run does not reach the right end")
 
-    off = 0 if t.marked else 1
-    lo = off + len(u1)
+    lo = (0 if t.marked else 1) + len(u1)
     travs1 = _factor_traversals(t, run1, lo, lo + len(u2))
     if not u2:
         return RunDecomposition((), (), (), (run1.output,), ())
     travs2 = _factor_traversals(t, run2, lo, lo + 2 * len(u2))
 
+    # Idempotence aligns the crossings: the runs agree until they first
+    # enter the block, enter it alike, and (one copy exiting as two do)
+    # leave it alike, so by induction they cross it in the same order,
+    # with the same kinds and entry states.
     cross1 = [tr for tr in travs1 if tr.kind in ("LR", "RL")]
     cross2 = [tr for tr in travs2 if tr.kind in ("LR", "RL")]
-    if len(cross1) != len(cross2) or \
-            [c.kind for c in cross1] != [c.kind for c in cross2] or \
-            [c.entry_state for c in cross1] != \
-            [c.entry_state for c in cross2]:
-        raise RuntimeError("pumping alignment failed: crossings differ")
-
     anchors1 = [c.start for c in cross1]
     anchors2 = [c.start for c in cross2]
     k = len(cross1)
@@ -265,11 +261,11 @@ def decompose(t: TwoWayTransducer, u1, u2, u3, oracle=None
                             tuple(pis), tuple(trs))
 
 
-def rho(t: TwoWayTransducer, u1, u2, u3, oracle=None) -> Word:
+def rho(t: TwoWayTransducer, u1, u2, u3) -> Word:
     """Iteration-stable output prefix: the run's output up to the first
     anchor whose component emits when pumped, or the whole output when
     no component does."""
-    d = decompose(t, u1, u2, u3, oracle)
+    d = decompose(t, u1, u2, u3)
     out = list(d.pi_outputs[0])
     for i, tr in enumerate(d.tr_outputs):
         if tr:

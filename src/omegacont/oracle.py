@@ -202,8 +202,8 @@ def _build_free(rng, n_states, letters, out_letters, max_out):
                 out = "".join(rng.choice(out_letters)
                               for _ in range(rng.randrange(max_out + 1)))
                 trans.add((q, a, rng.choice(states), out))
-    initial = rng.sample(states, rng.randrange(1, 3))
-    final = rng.sample(states, rng.randrange(1, 3))
+    initial = rng.sample(states, min(rng.randrange(1, 3), n_states))
+    final = rng.sample(states, min(rng.randrange(1, 3), n_states))
     return states, trans, initial, final
 
 
@@ -244,8 +244,12 @@ def random_instance(seed: int, profile: Tuple[int, int, int, int]
 
     Machines with silent accepting cycles are redrawn too, so every
     accepted word of the result has an infinite image and language
-    level continuity coincides with continuity of the function."""
+    level continuity coincides with continuity of the function.  A
+    profile no draw can satisfy raises ValueError."""
     n_states, n_in, n_out, max_out = profile
+    letters_ok = 1 <= n_in <= 8 and 1 <= n_out <= 8
+    if n_states < 1 or max_out < 1 or not letters_ok:
+        raise ValueError(f"no functional instance with profile {profile}")
     letters = "abcdefgh"[:n_in]
     out_letters = "abcdefgh"[:n_out]
     rng = random.Random(seed)

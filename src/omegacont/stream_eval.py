@@ -19,15 +19,15 @@ every domain word u.y; and once some domain word extends u, each next
 symbol of it is the only safe one.  A run that blocks or loops inside u
 proves that no domain word extends u.
 
-One-way and look-ahead machines commit greedily, letter by letter,
-through the mismatch question: is there y with consumed . y in dom f
-and the candidate output not a prefix of f(consumed . y)?  One-way
-machines answer it through universal_prefix_consistent; look-ahead
-machines, after look-ahead elimination, through a product two-way
-automaton whose domain is exactly the mismatching inputs, converted to
-a Buchi automaton and tested for emptiness.  (A look-ahead machine's
-run depends on the infinite future, so its run output is not safe to
-commit.)
+One-way and look-ahead machines commit the longest prefix of one
+candidate image (see _candidate) that passes the mismatch question: is
+there y with u.y in dom f and the prefix not a prefix of f(u.y)?
+One-way machines answer it through universal_prefix_consistent;
+look-ahead machines, after look-ahead elimination, through a product
+two-way automaton whose domain is exactly the mismatching inputs,
+converted to a Buchi automaton and tested for emptiness.  (A look-ahead
+machine's run depends on the infinite future, so its run output is not
+safe to commit.)
 """
 
 from __future__ import annotations
@@ -168,25 +168,28 @@ def mismatch_exists(machine, u, v, state_cap: int = 12,
     return mismatch_verdict(machine, u, v, state_cap, ext_bound)[0]
 
 
-def _commit_cap(machine, consumed: Word) -> int:
-    """How far the committed buffer of a one-way or look-ahead machine
-    may grow: the most output the machine itself has produced on the
-    consumed input.  Once the image is fully determined every prefix is
-    safe, so without this cap the greedy commit loop would never stop."""
+def _candidate(machine, consumed: Word, ext_bound: int) -> Word:
+    """One-way: the output of a longest run of the trimmed machine on
+    consumed.  Look-ahead: the image of the first sampled extension, cut
+    at len(consumed) times the longest step output (every prefix of a
+    determined image is safe, so the commit needs a cap).  Any other
+    next letter is contradicted by that run or sample."""
     if isinstance(machine, Transducer):
         t = trim_transducer(machine)
-        best = {q: 0 for q in t.initial}
+        best = {q: () for q in t.initial}
         for a in consumed:
             nxt = {}
-            for q, n in best.items():
+            for q, w in best.items():
                 for (r, g) in t.arcs(q, a):
-                    if n + len(g) > nxt.get(r, -1):
-                        nxt[r] = n + len(g)
+                    if r not in nxt or len(w) + len(g) > len(nxt[r]):
+                        nxt[r] = w + g
             best = nxt
-        return max(best.values(), default=0)
+        return max(best.values(), key=len, default=())
+    # the oracle's yes came from this same sampler and bound
+    _, image = next(sampled_extensions(machine, consumed, ext_bound))
     per_step = max((len(g) for (_, g, _) in machine.delta.values()),
                    default=0)
-    return len(consumed) * per_step
+    return image.take(len(consumed) * per_step)
 
 
 def stream_start(machine) -> StreamState:
@@ -204,9 +207,10 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     consumed input.  A plain two-way machine then commits the output of
     its run on the consumed input: the run on any domain word extending
     it agrees with that run until the head first leaves the consumed
-    input to the right.  One-way and look-ahead machines commit
-    greedily, one letter at a time, each letter checked by the mismatch
-    question.
+    input to the right.  One-way and look-ahead machines commit the
+    longest prefix of their candidate image (see _candidate) that
+    extends the committed buffer and that the mismatch question does
+    not contradict: one question per committed symbol, plus one.
 
     Raises DeadInput when the consumed input stops being a prefix of
     any domain word: on an exact no of the oracle, or when the run of a
@@ -228,22 +232,16 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     if run is not None:
         return (StreamState(m, consumed, run.output, oracle),
                 run.output[len(s.committed):])
-    committed = s.committed
-    emitted = []
-    letters = sorted(m.output_alphabet)
-    cap = _commit_cap(m, consumed)
-    progress = True
-    while progress and len(committed) < cap:
-        progress = False
-        for g in letters:
-            cand = committed + (g,)
-            if not mismatch_exists(m, consumed, cand, state_cap,
-                                   ext_bound):
-                committed = cand
-                emitted.append(g)
-                progress = True
-                break
-    return StreamState(m, consumed, committed, oracle), tuple(emitted)
+    cand = _candidate(m, consumed, oracle.ext_bound)
+    k = len(s.committed)
+    if cand[:k] != s.committed:
+        # only after an earlier commit that rested on a sampled no
+        return StreamState(m, consumed, s.committed, oracle), ()
+    while k < len(cand) and not mismatch_exists(m, consumed, cand[:k + 1],
+                                                state_cap, ext_bound):
+        k += 1
+    return (StreamState(m, consumed, cand[:k], oracle),
+            cand[len(s.committed):k])
 
 
 def stream_feed(machine, symbols) -> Tuple[StreamState, Word]:

@@ -178,7 +178,7 @@ class Output:
     value: UPWord
 
 
-def eval_up_2way(t, x: UPWord, max_steps: Optional[int] = None):
+def eval_up_2way(t, x: UPWord):
     """Output(UPWord) or NotInDomain for the run of t on x.
 
     For plain machines the tape is the endmarked x.  TwoWayPLA inputs
@@ -196,7 +196,7 @@ def eval_up_2way(t, x: UPWord, max_steps: Optional[int] = None):
         except NoState:
             # the look-ahead rejects the input outright
             return NotInDomain("blocked")
-        return eval_up_2way(eliminate_lookahead(t), ann, max_steps)
+        return eval_up_2way(eliminate_lookahead(t), ann)
 
     if t.marked:
         tape = x
@@ -207,9 +207,8 @@ def eval_up_2way(t, x: UPWord, max_steps: Optional[int] = None):
     period_start = len(tape.prefix)
     qn = len(tape.period)
 
-    if max_steps is None:
-        n = len(t.states)
-        max_steps = max(4000, n * n * (period_start + qn + 2) * qn * 16)
+    n = len(t.states)
+    max_steps = max(4000, n * n * (period_start + qn + 2) * qn * 16)
 
     state, pos = t.initial, 0
     positions: List[int] = []

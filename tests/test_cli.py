@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import omegacont
 from omegacont.cli import main
 from omegacont.textio import fixture_path, parse_spec
 
@@ -226,6 +230,26 @@ class TestOracleGen:
         _, out2, _ = run(capsys, "gen", "--seed", "9")
         assert out1 == out2
         assert parse_spec(out1).kind == "nft"
+
+    @pytest.mark.parametrize("profile,seed,want", [
+        ("2,0,2,2", 0, 65), ("2,2,2,0", 0, 65), ("2,2,0,0", 0, 65),
+        ("2,2,0,2", 0, 65), ("1,2,2,2", 2, 0), ("1,2,2,2", 3, 0),
+        ("1,2,2,2", 5, 0)])
+    def test_gen_profile_ends(self, profile, seed, want):
+        # in a subprocess, so that a redraw loop that never ends fails
+        # the test on its timeout instead of hanging the suite
+        src = os.path.dirname(os.path.dirname(omegacont.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        got = subprocess.run(
+            [sys.executable, "-m", "omegacont.cli", "gen", "--seed",
+             str(seed), "--profile", profile],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert got.returncode == want, got.stderr
+        assert "Traceback" not in got.stderr
+        if want == 0:
+            assert parse_spec(got.stdout).kind == "nft"
+        else:
+            assert "profile" in got.stderr
 
 
 class TestErrors:

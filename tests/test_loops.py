@@ -5,10 +5,10 @@ import pytest
 
 from omegacont.fixtures import ENDMARKER, block_doubler
 from omegacont.loops import (
-    NotIdempotent, NotInPrefDomain, Behavior, behavior, compose, decompose,
+    NotIdempotent, Behavior, behavior, compose, decompose,
     is_idempotent, pump_predict, rho,
 )
-from omegacont.twoway import DomainOracle, run_finite, two_way
+from omegacont.twoway import run_finite, two_way
 from omegacont.words import as_word
 
 
@@ -124,12 +124,6 @@ class TestDecompose:
         assert not is_idempotent(t, "", "aa", "")
         with pytest.raises(NotIdempotent):
             decompose(t, "", "aa", "")
-
-    def test_oracle_gate(self):
-        t = block_doubler()
-        orc = DomainOracle(t)
-        with pytest.raises(NotInPrefDomain):
-            decompose(t, "e", "c#", "d#", orc)
 
     def test_pumping_identity_master(self):
         rng = random.Random(11)

@@ -1,4 +1,4 @@
-"""The plain two-way streaming route against the greedy mismatch loop.
+"""Streaming commits against the greedy mismatch loop.
 
 stream_step commits a plain two-way machine's run output, checked by
 the domain oracle.  _reference_step keeps the former route: the domain
@@ -6,16 +6,26 @@ oracle decides DeadInput, then output letters are committed greedily,
 each one only when the mismatch question says no domain extension
 contradicts it, up to the length of the run's output.  Both must emit
 the same symbols on every step.
+
+One-way and look-ahead machines commit the longest prefix of one
+candidate image that the mismatch question allows.  _greedy_step keeps
+the former route for them: every output letter tried in order, up to
+_commit_cap.  Again both must emit the same symbols on every step.
 """
 
 import itertools
 
 import pytest
 
-from omegacont.fixtures import block_doubler
+from omegacont.fixtures import (block_doubler, branch_switch,
+                                prefix_doubler, prefix_doubler_2way,
+                                stem_doubler, tail_classifier)
+from omegacont.oneway import Transducer, trim_transducer
+from omegacont.oracle import random_instance
 from omegacont.stream_eval import (DeadInput, StreamState, mismatch_exists,
                                    stream_start, stream_step)
 from omegacont.twoway import ENDMARKER, DomainOracle, run_finite, two_way
+from omegacont.words import Word
 
 STATE_CAP, EXT_BOUND = 12, 4
 
@@ -128,3 +138,83 @@ def test_oracle_built_once_per_stream():
     for a in "b#a":
         s = stream_step(s, a)[0]
         assert s.oracle is oracle
+
+
+def _commit_cap(machine, consumed: Word) -> int:
+    """How far the committed buffer of a one-way or look-ahead machine
+    may grow: the most output the machine itself has produced on the
+    consumed input.  Once the image is fully determined every prefix is
+    safe, so without this cap the greedy commit loop would never stop."""
+    if isinstance(machine, Transducer):
+        t = trim_transducer(machine)
+        best = {q: 0 for q in t.initial}
+        for a in consumed:
+            nxt = {}
+            for q, n in best.items():
+                for (r, g) in t.arcs(q, a):
+                    if n + len(g) > nxt.get(r, -1):
+                        nxt[r] = n + len(g)
+            best = nxt
+        return max(best.values(), default=0)
+    per_step = max((len(g) for (_, g, _) in machine.delta.values()),
+                   default=0)
+    return len(consumed) * per_step
+
+
+def _greedy_step(s: StreamState, a, state_cap: int = 12,
+                 ext_bound: int = 4):
+    m = s.machine
+    consumed = s.consumed + (a,)
+    oracle = s.oracle or DomainOracle(m, state_cap, ext_bound)
+    if not oracle.pref_member(consumed):
+        if oracle.exact:
+            raise DeadInput("".join(map(str, consumed)))
+        # only sampled: no extension found within ext_bound
+        return StreamState(m, consumed, s.committed, oracle), ()
+    committed = s.committed
+    emitted = []
+    letters = sorted(m.output_alphabet)
+    cap = _commit_cap(m, consumed)
+    progress = True
+    while progress and len(committed) < cap:
+        progress = False
+        for g in letters:
+            cand = committed + (g,)
+            if not mismatch_exists(m, consumed, cand, state_cap,
+                                   ext_bound):
+                committed = cand
+                emitted.append(g)
+                progress = True
+                break
+    return StreamState(m, consumed, committed, oracle), tuple(emitted)
+
+
+def _longest(alphabet, n):
+    # the steps of every word of length n cover every shorter input
+    return ["".join(w) for w in itertools.product(sorted(alphabet), repeat=n)]
+
+
+@pytest.mark.parametrize("machine", [prefix_doubler(), branch_switch(),
+                                     tail_classifier()],
+                         ids=["t_c", "t_nc", "t_inf"])
+def test_one_way_fixtures_match_greedy(machine):
+    for word in _longest(machine.alphabet, 4):
+        assert _steps(stream_step, machine, word) == \
+            _steps(_greedy_step, machine, word), word
+
+
+def test_random_one_way_match_greedy():
+    for seed in range(50):
+        machine = random_instance(seed)
+        for word in _longest(machine.alphabet, 4):
+            assert _steps(stream_step, machine, word) == \
+                _steps(_greedy_step, machine, word), (seed, word)
+
+
+@pytest.mark.parametrize("machine,word", [
+    (prefix_doubler_2way(), "c"), (prefix_doubler_2way(), "ac"),
+    (prefix_doubler_2way(), "ad"), (stem_doubler(), "ba")],
+    ids=["t_c_2way-c", "t_c_2way-ac", "t_c_2way-ad", "j-ba"])
+def test_look_ahead_matches_greedy(machine, word):
+    assert _steps(stream_step, machine, word) == \
+        _steps(_greedy_step, machine, word)
