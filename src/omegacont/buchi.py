@@ -14,7 +14,7 @@ built on it.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
@@ -227,31 +227,16 @@ def lasso_word(lasso: Lasso) -> UPWord:
 def trim(b: BuchiAutomaton) -> BuchiAutomaton:
     """Restrict to states reachable from initial and co-reachable from a
     final state that lies on a cycle (i.e. useful for acceptance)."""
-    fwd = {q: set() for q in b.states}
-    bwd = {q: set() for q in b.states}
+    fwd, bwd = defaultdict(list), defaultdict(list)
     for (q, a, r) in b.transitions:
-        fwd[q].add(r)
-        bwd[r].add(q)
-
-    def reach(starts, edges):
-        seen = set(starts)
-        stack = list(starts)
-        while stack:
-            n = stack.pop()
-            for m in edges[n]:
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
-    reachable = reach(b.initial, fwd)
+        fwd[q].append((a, r))
+        bwd[r].append((a, q))
+    reachable, _ = explore(b.initial, fwd.__getitem__)
     # Final states on a non-trivial cycle.
-    live_finals = set()
-    for f in b.final:
-        succs = reach(fwd[f], fwd) | set(fwd[f])
-        if f in succs:
-            live_finals.add(f)
-    keep = reachable & (reach(live_finals, bwd) | live_finals)
+    live_finals = [f for f in b.final if f in reachable
+                   and bfs_path([f], fwd.__getitem__, lambda m: m == f)]
+    coreachable, _ = explore(live_finals, bwd.__getitem__)
+    keep = reachable.keys() & coreachable.keys()
     return BuchiAutomaton(
         b.alphabet, frozenset(keep),
         frozenset(t for t in b.transitions if t[0] in keep and t[2] in keep),

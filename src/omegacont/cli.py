@@ -15,7 +15,8 @@ from .buchi import BuchiAutomaton, closure, member_up, trim
 from .continuity_regular import NotContinuous, SearchBounds, search_witness
 from .loops import NotIdempotent, NotInPrefDomain, decompose, rho
 from .oneway import (EpsilonLoopOutput, Transducer, decide_continuity,
-                     domain_automaton, eval_up, trim_transducer)
+                     domain_automaton, eval_up, functionality_check,
+                     trim_transducer)
 from .oracle import BadPairFound, brute_force_check, random_instance
 from .stream_eval import (DeadInput, mismatch_verdict, stream_start,
                           stream_step)
@@ -47,19 +48,42 @@ def _proj(w) -> str:
     return "".join(str(c) for c in letters) if letters else "_"
 
 
-def _print_witness(w) -> None:
-    print("not continuous")
-    print(f"  u1 = {_proj(w.u1)}")
-    print(f"  u2 = {_proj(w.u2)}")
-    print(f"  u3 = {_proj(w.u3)} / u3' = {_proj(w.u3p)}")
-    print(f"  mismatch at position {w.mismatch_position} ({w.variant})")
+def _load_function(path: str):
+    """_load, rejecting a one-way machine that is not functional: every
+    one-way verdict, value and commit assumes one image per input."""
+    m = _load(path)
+    cex = functionality_check(m) if isinstance(m, Transducer) else None
+    if cex is not None:
+        images = [format_up(y) if y is not None else "a finite word"
+                  for y in (cex.output1, cex.output2)]
+        raise ValueError(f"not functional: {format_up(cex.word)} has the "
+                         f"two images {images[0]} and {images[1]}")
+    return m
+
+
+def _witness_verdict(m, args, bounds) -> int:
+    """Bounded witness search on a two-way machine: 1 with the witness
+    found, 2 when the bounds are exhausted."""
+    got = search_witness(m, args.variant, bounds, state_cap=args.state_cap,
+                         ext_bound=args.ext_bound)
+    if isinstance(got, NotContinuous):
+        w = got.witness
+        print("not continuous")
+        print(f"  u1 = {_proj(w.u1)}")
+        print(f"  u2 = {_proj(w.u2)}")
+        print(f"  u3 = {_proj(w.u3)} / u3' = {_proj(w.u3p)}")
+        print(f"  mismatch at position {w.mismatch_position} ({w.variant})")
+        return 1
+    b = got.bounds
+    print(f"no witness up to bounds "
+          f"{b.max_len_u1},{b.max_len_u2},{b.max_len_u3}")
+    return 2
 
 
 def cmd_check(args) -> int:
-    m = _load(args.file)
-    variant = args.variant
+    m = _load_function(args.file)
     if isinstance(m, Transducer):
-        w = decide_continuity(m, variant)
+        w = decide_continuity(m, args.variant)
         if w is None:
             print("continuous")
             return 0
@@ -69,21 +93,12 @@ def cmd_check(args) -> int:
         print(f"  mismatch at position {w.mismatch_pos}")
         return 1
     if isinstance(m, (TwoWayTransducer, TwoWayPLA)):
-        got = search_witness(m, variant, SearchBounds(),
-                             state_cap=args.state_cap,
-                             ext_bound=args.ext_bound)
-        if isinstance(got, NotContinuous):
-            _print_witness(got.witness)
-            return 1
-        b = got.bounds
-        print(f"no witness up to bounds "
-              f"{b.max_len_u1},{b.max_len_u2},{b.max_len_u3}")
-        return 2
+        return _witness_verdict(m, args, SearchBounds())
     return _data_error("continuity needs a transducer, not an acceptor")
 
 
 def cmd_eval(args) -> int:
-    m = _load(args.file)
+    m = _load_function(args.file)
     x = parse_up(args.upword)
     if isinstance(m, BuchiAutomaton):
         return _data_error("an acceptor has no output; use member")
@@ -117,7 +132,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    m = _load(args.file)
+    m = _load_function(args.file)
     if isinstance(m, BuchiAutomaton):
         return _data_error("streaming needs a transducer")
     if isinstance(m, Transducer) and not args.force:
@@ -164,14 +179,7 @@ def cmd_witness(args) -> int:
     bounds = _bounds(args.bound)
     if args.verify is not None:
         bounds = replace(bounds, verify_n=args.verify)
-    got = search_witness(m, args.variant, bounds,
-                         state_cap=args.state_cap, ext_bound=args.ext_bound)
-    if isinstance(got, NotContinuous):
-        _print_witness(got.witness)
-        return 1
-    print("no witness up to bounds "
-          f"{bounds.max_len_u1},{bounds.max_len_u2},{bounds.max_len_u3}")
-    return 2
+    return _witness_verdict(m, args, bounds)
 
 
 def cmd_rho(args) -> int:
@@ -218,7 +226,7 @@ def cmd_closure(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    m = _load(args.file)
+    m = _load_function(args.file)
     if isinstance(m, BuchiAutomaton):
         return _data_error("the oracle needs a transducer")
     got = brute_force_check(m, args.variant, args.bound)

@@ -467,44 +467,52 @@ def _pair_mismatching_tails(t, q1, q2, status, bound):
 # Prefix consistency for streaming
 
 
-def universal_prefix_consistent(t: Transducer, u, w) -> bool:
-    """Is w a prefix of f(x) for every x in dom f extending input u?
+def safe_prefix_length(t: Transducer, u, w) -> int:
+    """Length of the longest prefix of w that is a prefix of f(x) for
+    every x in dom f extending input u.
 
-    Decided exactly on the trimmed transducer: any reachable run whose
-    output disagrees with w at some position extends to an accepting
-    run (trimness), so consistency holds iff no disagreement is
-    reachable.
+    Decided on the trimmed transducer, where every reachable run
+    extends to an accepting one.  A run is live at j while its output
+    is w[:j] with j < len(w); it settles at j when its output first
+    differs from w there, or at len(w) once it covers w.  The answer is
+    the least position at which some run settles.  A run that settles
+    inside u counts only if it survives u; the tails of the live runs
+    are then searched once, never past the least position found so far,
+    since a run only settles at or after the position it is live at.
     """
     u, w = as_word(u), as_word(w)
     t = trim_transducer(t)
-    # Read u, tracking how much of w each run's output has matched.
-    # ("ext",) marks runs whose output already covers all of w; a run
-    # that mismatches mid-u only matters if it survives all of u.
-    cur = {(q, ("pfx", 0)) for q in t.initial}
+    n = len(w)
+
+    def advance(j, g):
+        # (position, live) once a run live at j emits g
+        m = mismatch(g, w[j:j + len(g)])
+        if m is not None:
+            return j + m, False
+        return (j + len(g), True) if j + len(g) < n else (n, False)
+
+    cur = {(q, 0, n > 0) for q in t.initial}
     for a in u:
-        nxt = set()
-        for (q, st) in cur:
-            for (r, g) in t.arcs(q, a):
-                nxt.add((r, _consume_against(st, g, w)))
-        cur = nxt
-    # Extensions of u: only runs still short of w can still disagree.
-    for (q, st) in cur:
-        if st == MM:
-            return False
-        if st == ("ext",):
-            continue
-        _, k = st
-        if _mismatching_tail(t, q, w[k:]) is not None:
-            return False
-    return True
+        cur = {(r,) + (advance(j, g) if live else (j, False))
+               for (q, j, live) in cur for (r, g) in t.arcs(q, a)}
+    best = min((j for (_, j, live) in cur if not live), default=n)
+
+    def succ(node):
+        nonlocal best
+        q, j = node
+        out = []
+        for (_, r, g) in t.out_arcs(q) if j < best else ():
+            j2, live = advance(j, g)
+            if live:
+                out.append((None, (r, j2)))
+            else:
+                best = min(best, j2)
+        return out
+
+    explore([(q, j) for (q, j, live) in cur if live], succ)
+    return best
 
 
-def _consume_against(st, g: Word, w: Word):
-    if st == ("ext",) or st == MM:
-        return st
-    _, k = st
-    m = mismatch(g, w[k:])
-    if m is not None:
-        return MM
-    k2 = k + len(g)
-    return ("ext",) if k2 >= len(w) else ("pfx", k2)
+def universal_prefix_consistent(t: Transducer, u, w) -> bool:
+    """Is w a prefix of f(x) for every x in dom f extending input u?"""
+    return safe_prefix_length(t, u, w) == len(as_word(w))

@@ -19,15 +19,16 @@ every domain word u.y; and once some domain word extends u, each next
 symbol of it is the only safe one.  A run that blocks or loops inside u
 proves that no domain word extends u.
 
-One-way and look-ahead machines commit the longest prefix of one
-candidate image (see _candidate) that passes the mismatch question: is
-there y with u.y in dom f and the prefix not a prefix of f(u.y)?
-One-way machines answer it through universal_prefix_consistent;
-look-ahead machines, after look-ahead elimination, through a product
-two-way automaton whose domain is exactly the mismatching inputs,
-converted to a Buchi automaton and tested for emptiness.  (A look-ahead
-machine's run depends on the infinite future, so its run output is not
-safe to commit.)
+One-way and look-ahead machines commit the longest safe prefix of one
+candidate image (see _candidate).  A one-way machine finds it with one
+search, safe_prefix_length.  A look-ahead machine asks the mismatch
+question once per committed symbol, plus one: is there y with u.y in
+dom f and the prefix not a prefix of f(u.y)?  After look-ahead
+elimination it is answered through a product two-way automaton whose
+domain is exactly the mismatching inputs, converted to a Buchi
+automaton and tested for emptiness.  (A look-ahead machine's run
+depends on the infinite future, so its run output is not safe to
+commit.)
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .buchi import is_empty
-from .oneway import Transducer, trim_transducer, universal_prefix_consistent
+from .oneway import Transducer, safe_prefix_length, trim_transducer
 from .twoway import (ENDMARKER, DomainOracle, StateCapExceeded, TwoWayPLA,
                      TwoWayTransducer, domain_nba, run_finite,
                      sampled_extensions)
@@ -142,7 +143,7 @@ def mismatch_verdict(machine, u, v, state_cap: int = 12,
     sampled_extensions of u: a yes is sound, a no is not exact."""
     u, v = as_word(u), as_word(v)
     if isinstance(machine, Transducer):
-        return not universal_prefix_consistent(machine, u, v), True
+        return safe_prefix_length(machine, u, v) < len(v), True
     if not v:
         return False, True
     t = machine
@@ -208,9 +209,10 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     its run on the consumed input: the run on any domain word extending
     it agrees with that run until the head first leaves the consumed
     input to the right.  One-way and look-ahead machines commit the
-    longest prefix of their candidate image (see _candidate) that
-    extends the committed buffer and that the mismatch question does
-    not contradict: one question per committed symbol, plus one.
+    longest safe prefix of their candidate image (see _candidate) that
+    extends the committed buffer: a one-way machine with one
+    safe_prefix_length search, a look-ahead machine with one mismatch
+    question per committed symbol, plus one.
 
     Raises DeadInput when the consumed input stops being a prefix of
     any domain word: on an exact no of the oracle, or when the run of a
@@ -237,9 +239,13 @@ def stream_step(s: StreamState, a, state_cap: int = 12,
     if cand[:k] != s.committed:
         # only after an earlier commit that rested on a sampled no
         return StreamState(m, consumed, s.committed, oracle), ()
-    while k < len(cand) and not mismatch_exists(m, consumed, cand[:k + 1],
-                                                state_cap, ext_bound):
-        k += 1
+    if isinstance(m, Transducer):
+        # at least k: the committed buffer stays safe as u grows
+        k = safe_prefix_length(m, consumed, cand)
+    else:
+        while k < len(cand) and not mismatch_exists(
+                m, consumed, cand[:k + 1], state_cap, ext_bound):
+            k += 1
     return (StreamState(m, consumed, cand[:k], oracle),
             cand[len(s.committed):k])
 

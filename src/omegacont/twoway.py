@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from .buchi import BuchiAutomaton, all_up_words, pref_automaton
+from .buchi import BuchiAutomaton, all_up_words, explore, pref_automaton
 from .oneway import Transducer, domain_automaton
 from .words import UPWord, Word, as_word, up_word
 
@@ -256,22 +256,6 @@ def _close_periodic(t, states, chunks, t1, t2):
 _INIT = ("<init>",)
 
 
-def _reachable_states(t: TwoWayTransducer):
-    """States reachable from the initial one through delta, ignoring
-    tape contents and head position."""
-    seen = {t.initial}
-    stack = [t.initial]
-    step = {}
-    for (q, _), (r, _, _) in t.delta.items():
-        step.setdefault(q, set()).add(r)
-    while stack:
-        for r in step.get(stack.pop(), ()):
-            if r not in seen:
-                seen.add(r)
-                stack.append(r)
-    return seen
-
-
 def _cell_step(t: TwoWayTransducer, c_left, a, final_states,
                comeback_states):
     """All crossing sequences at the right boundary of a cell holding a,
@@ -358,8 +342,12 @@ def two_way_to_nba(t: TwoWayTransducer,
     """
     # a comeback re-enters a cell via some left move taken by a run
     # from the initial state, so only reachable targets of left-moving
-    # transitions are worth guessing
-    reach = _reachable_states(t)
+    # transitions are worth guessing (reachable ignoring the tape)
+    step = {}
+    for (q, _), (r, _, _) in t.delta.items():
+        step.setdefault(q, set()).add(r)
+    reach, _ = explore([t.initial],
+                       lambda q: [(None, r) for r in step.get(q, ())])
     comeback = {r for (r, _, d) in t.delta.values()
                 if d == -1 and r in reach}
 

@@ -122,6 +122,33 @@ class TestStream:
         assert (code, out.splitlines(), err) == (0, ["a -> _"], "")
 
 
+class TestNotFunctional:
+    # both states initial and final: a^omega has the images x^omega and
+    # y^omega, so no one-way verdict, value or commit is meaningful
+    @pytest.mark.parametrize("argv", [
+        ("check-cont",), ("check-ucont",), ("eval", "(a)"),
+        ("stream", "--force"), ("oracle",)], ids=lambda argv: argv[0])
+    def test_rejected_with_counterexample(self, argv, capsys, monkeypatch,
+                                          tmp_path):
+        p = tmp_path / "branches.txt"
+        p.write_text("type: nft\nalphabet: a\noutputs: x y\n"
+                     "states: p q\ninitial: p q\nfinal: p q\n"
+                     'trans: p a p "x"\ntrans: q a q "y"\n')
+        monkeypatch.setattr("sys.stdin", io.StringIO("aa"))
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out) == (65, "")
+        assert "not functional: (a)" in err
+
+    def test_silent_image_is_printed(self, capsys, tmp_path):
+        p = tmp_path / "silent_branch.txt"
+        p.write_text("type: nft\nalphabet: a\noutputs: x\n"
+                     "states: p q\ninitial: p q\nfinal: p q\n"
+                     'trans: p a p "x"\ntrans: q a q ""\n')
+        code, _, err = run(capsys, "eval", str(p), "(a)")
+        assert code == 65
+        assert "a finite word" in err
+
+
 class TestWitness:
     def test_witness_found(self, capsys):
         code, out, _ = run(capsys, "witness", fixture_path("f_inf"),

@@ -103,6 +103,25 @@ class TestStreaming:
                 s = stream_step(s, "a")[0]
                 assert s.oracle is oracle
 
+    def test_one_search_per_one_way_step(self, monkeypatch):
+        import omegacont.stream_eval as se
+        calls = {"mismatch": 0, "search": 0}
+        search = se.safe_prefix_length
+
+        def counted_mismatch(*args, **kw):
+            calls["mismatch"] += 1
+            return mismatch_exists(*args, **kw)
+
+        def counted_search(*args):
+            calls["search"] += 1
+            return search(*args)
+
+        monkeypatch.setattr(se, "mismatch_exists", counted_mismatch)
+        monkeypatch.setattr(se, "safe_prefix_length", counted_search)
+        s, out = stream_feed(prefix_doubler(), "a" * 30 + "ccc")
+        assert "".join(out) == "a" * 60 + "ccc"
+        assert calls == {"mismatch": 0, "search": 33}
+
     def test_progress_on_continuous_machine(self):
         t = prefix_doubler()
         s = stream_start(t)
