@@ -179,33 +179,22 @@ def find_lasso(initial_nodes: Iterable[Node],
 # Membership, emptiness, trimming
 
 
-def _position_graph(x: UPWord):
-    """Successor on canonical positions of x (see UPWord.position_after)."""
-    p, q = len(x.prefix), len(x.period)
-
-    def nxt(i):
-        return i + 1 if i + 1 < p + q else p
-
-    def sym(i):
-        return x[i]
-
-    return nxt, sym, p + q
-
-
 def member_up(b: BuchiAutomaton, x: UPWord,
               from_states: Optional[Iterable[State]] = None) -> bool:
     """Does b accept the UP word x (from from_states, default initial)?"""
-    nxt, sym, _ = _position_graph(x)
+    p, n = len(x.prefix), len(x.prefix) + len(x.period)
     starts = b.initial if from_states is None else frozenset(from_states)
 
     def succ(node):
+        # positions p..n-1 are the period's, and n wraps back to p
         q, i = node
-        return [(sym(i), (r, nxt(i))) for r in b.successors(q, sym(i))]
+        a, j = x[i], (i + 1 if i + 1 < n else p)
+        return [(a, (r, j)) for r in b.successors(q, a)]
 
     # A final product node on a cycle must repeat with the same position,
     # which only happens at period positions; find_lasso handles this.
     lasso = find_lasso([(q, 0) for q in starts], succ,
-                       lambda n: n[0] in b.final)
+                       lambda nd: nd[0] in b.final)
     return lasso is not None
 
 
@@ -227,20 +216,30 @@ def lasso_word(lasso: Lasso) -> UPWord:
 def trim(b: BuchiAutomaton) -> BuchiAutomaton:
     """Restrict to states reachable from initial and co-reachable from a
     final state that lies on a cycle (i.e. useful for acceptance)."""
-    fwd, bwd = defaultdict(list), defaultdict(list)
+    fwd = defaultdict(list)
     for (q, a, r) in b.transitions:
         fwd[q].append((a, r))
-        bwd[r].append((a, q))
-    reachable, _ = explore(b.initial, fwd.__getitem__)
-    # Final states on a non-trivial cycle.
-    live_finals = [f for f in b.final if f in reachable
-                   and bfs_path([f], fwd.__getitem__, lambda m: m == f)]
-    coreachable, _ = explore(live_finals, bwd.__getitem__)
-    keep = reachable.keys() & coreachable.keys()
+    keep = live_nodes(b.initial, fwd.__getitem__, b.final.__contains__)
     return BuchiAutomaton(
         b.alphabet, frozenset(keep),
         frozenset(t for t in b.transitions if t[0] in keep and t[2] in keep),
         b.initial & keep, b.final & keep)
+
+
+def live_nodes(starts: Iterable[Node],
+               successors: Callable[[Node], Iterable[Tuple[object, Node]]],
+               is_final: Callable[[Node], bool]):
+    """The nodes reachable from starts from which a final node on a
+    non-trivial cycle is reachable: those some accepting run visits."""
+    succs, _ = explore(starts, successors)
+    bwd = defaultdict(list)
+    for n, out in succs.items():
+        for (lab, m) in out:
+            bwd[m].append((lab, n))
+    live_finals = [f for f in succs if is_final(f)
+                   and bfs_path([f], succs.__getitem__, lambda m: m == f)]
+    coreachable, _ = explore(live_finals, bwd.__getitem__)
+    return succs.keys() & coreachable.keys()
 
 
 def product(b1: BuchiAutomaton, b2: BuchiAutomaton) -> BuchiAutomaton:

@@ -23,6 +23,7 @@ from .stream_eval import (DeadInput, mismatch_verdict, stream_start,
 from .textio import (ParseError, ValidationError, format_up, format_word,
                      parse_spec, parse_up, parse_word, serialize)
 from .twoway import Output, TwoWayPLA, TwoWayTransducer, eval_up_2way
+from .words import up_equal
 
 
 def _load(path: str):
@@ -49,15 +50,14 @@ def _proj(w) -> str:
 
 
 def _load_function(path: str):
-    """_load, rejecting a one-way machine that is not functional: every
-    one-way verdict, value and commit assumes one image per input."""
+    """_load, rejecting a one-way machine that has two images of one
+    input: every one-way verdict, value and commit assumes one."""
     m = _load(path)
     cex = functionality_check(m) if isinstance(m, Transducer) else None
-    if cex is not None:
-        images = [format_up(y) if y is not None else "a finite word"
-                  for y in (cex.output1, cex.output2)]
+    if cex is not None and not up_equal(cex.output1, cex.output2):
         raise ValueError(f"not functional: {format_up(cex.word)} has the "
-                         f"two images {images[0]} and {images[1]}")
+                         f"two images {format_up(cex.output1)} and "
+                         f"{format_up(cex.output2)}")
     return m
 
 

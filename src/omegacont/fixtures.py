@@ -78,14 +78,6 @@ def stem_doubler() -> TwoWayPLA:
     return _load("j")
 
 
-def p_settling_letter() -> BuchiAutomaton:
-    """Prophetic look-ahead over {a, c, d} classifying suffixes by the
-    letter they settle on: GA = a^omega, AC/CC = eventually c^omega
-    (a's left / none), AD/DD the same for d, IA/IC/ID endmarked.
-    Suffixes outside these shapes get no state."""
-    return prefix_doubler_2way().lookahead.automaton
-
-
 def prefix_doubler_2way() -> TwoWayPLA:
     """Look-ahead version of the continuous prefix doubler:
     g(a^omega) = a^omega, g(a^n c^omega) = a^2n c^omega,

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import FrozenSet, Hashable, Optional, Tuple
 
 from .buchi import (BuchiAutomaton, bfs_path, explore, find_lasso,
-                    lasso_word, path_to)
+                    lasso_word, live_nodes, path_to)
 from .buchi import trim as buchi_trim
 from .words import UPWord, Word, as_word, mismatch, up_word
 
@@ -73,6 +73,18 @@ class Transducer:
     def arcs(self, q: State, a) -> Tuple[Tuple[State, Word], ...]:
         return self._index[1].get((q, a), ())
 
+    @cached_property
+    def _trimmed(self) -> "Transducer":
+        # immutable, so a stream and every search share one trim
+        keep = buchi_trim(domain_automaton(self)).states
+        if keep == self.states:
+            return self  # already trim: reuse the transition index
+        return Transducer(
+            self.alphabet, self.output_alphabet, frozenset(keep),
+            frozenset(tr for tr in self.transitions
+                      if tr[0] in keep and tr[2] in keep),
+            self.initial & keep, self.final & keep)
+
     @property
     def max_output_len(self) -> int:
         return max((len(g) for (_, _, _, g) in self.transitions), default=0)
@@ -100,14 +112,8 @@ def domain_automaton(t: Transducer) -> BuchiAutomaton:
 
 
 def trim_transducer(t: Transducer) -> Transducer:
-    keep = buchi_trim(domain_automaton(t)).states
-    if keep == t.states:
-        return t  # already trim: reuse its transition index
-    return Transducer(
-        t.alphabet, t.output_alphabet, frozenset(keep),
-        frozenset(tr for tr in t.transitions
-                  if tr[0] in keep and tr[2] in keep),
-        t.initial & keep, t.final & keep)
+    """t restricted to the states some accepting run visits."""
+    return t._trimmed
 
 
 # ---------------------------------------------------------------------------
@@ -209,53 +215,59 @@ class FunctionalityCounterexample:
 def functionality_check(t: Transducer, bound: Optional[int] = None
                         ) -> Optional[FunctionalityCounterexample]:
     """None if t is functional; otherwise an accepted UP word with two
-    accepting runs whose (infinite) outputs differ.
+    accepting runs that emit infinitely often (the runs eval_up reads)
+    and whose outputs differ somewhere or drift more than bound apart.
 
-    Runs with finite total output are not compared; eval_up surfaces
-    those separately as EpsilonLoopOutput.
+    A drift alone does not prove two images of omega-words (runs writing
+    xx and x per letter agree), so compare output1 with output2.  A
+    bound below delay_bound(t) keeps the search small but may report
+    more functional machines that way; a None verdict stays trustworthy.
 
-    A bound below delay_bound(t) keeps the search small but may reject
-    functional machines whose paired runs drift further than that; a
-    None verdict stays trustworthy either way.
+    Only pairs of states from which both runs can still accept and emit
+    forever are compared, where a functional machine has one pending
+    output per leading side and length; the search stops at the first
+    difference or drift.
     """
     t = trim_transducer(t)
     if bound is None:
         bound = delay_bound(t)
     final = t.final
 
-    def succ(node):
-        q1, q2, status, ph = node
-        nph = (1 if q1 in final else 0) if ph == 0 else \
-              (0 if q2 in final else 1)
+    def pairs(node):
+        # the phase waits in turn for q1 final, g1 non-empty, q2 final
+        # and g2 non-empty
+        q1, q2, ph = node
         out = []
         for (a, r1, g1) in t.out_arcs(q1):
             for (r2, g2) in t.arcs(q2, a):
-                ns = advance_status(status, g1, g2, bound)
-                out.append(((a, g1, g2), (r1, r2, ns, nph)))
+                step = bool((q1 in final, g1, q2 in final, g2)[ph])
+                out.append(((a, g1, g2), (r1, r2, (ph + step) % 4)))
         return out
 
+    def fair(node):
+        return node[2] == 0 and node[0] in final
+
     ini = _sorted(t.initial)
-    init = [(p1, p2, EQUAL, 0) for p1 in ini for p2 in ini]
-    lasso = find_lasso(
-        init, succ,
-        lambda n: n[2] in (MM, OF) and n[3] == 0 and n[0] in final)
-    if lasso is None:
+    live = {n[:2] for n in live_nodes(
+        [(p1, p2, 0) for p1 in ini for p2 in ini], pairs, fair)}
+
+    def succ(node):
+        q1, q2, status = node
+        return [(lab, (r1, r2, advance_status(status, lab[1], lab[2], bound)))
+                for (lab, (r1, r2, _)) in pairs((q1, q2, 0))
+                if (r1, r2) in live]
+
+    path = bfs_path([(p1, p2, EQUAL) for p1 in ini for p2 in ini
+                     if (p1, p2) in live], succ, lambda n: n[2] in (MM, OF))
+    if path is None:
         return None
-    word = up_word([l[0] for l in lasso.stem_labels],
-                   [l[0] for l in lasso.loop_labels])
-    out1 = _chunks_to_up([l[1] for l in lasso.stem_labels],
-                         [l[1] for l in lasso.loop_labels])
-    out2 = _chunks_to_up([l[2] for l in lasso.stem_labels],
-                         [l[2] for l in lasso.loop_labels])
+    nodes, labels = path
+    lasso = find_lasso([nodes[-1][:2] + (0,)], pairs, fair)
+    stem, loop = labels + lasso.stem_labels, lasso.loop_labels
+    word = up_word([l[0] for l in stem], [l[0] for l in loop])
+    out1, out2 = (up_word([c for l in stem for c in l[i]],
+                          [c for l in loop for c in l[i]]) for i in (1, 2))
     return FunctionalityCounterexample(word, out1, out2)
-
-
-def _chunks_to_up(stem_chunks, loop_chunks) -> Optional[UPWord]:
-    stem = tuple(c for g in stem_chunks for c in g)
-    loop = tuple(c for g in loop_chunks for c in g)
-    if not loop:
-        return None
-    return up_word(stem, loop)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ out of the period's tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 from math import lcm
 from typing import Iterator, Sequence, Tuple
 
@@ -74,10 +74,6 @@ class UPWord:
         if i < p:
             return i
         return p + (i - p) % q
-
-    def symbols(self) -> Iterator[Symbol]:
-        for i in count():
-            yield self[i]
 
     def __str__(self) -> str:
         pre = "".join(map(str, self.prefix))

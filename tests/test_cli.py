@@ -139,14 +139,17 @@ class TestNotFunctional:
         assert (code, out) == (65, "")
         assert "not functional: (a)" in err
 
-    def test_silent_image_is_printed(self, capsys, tmp_path):
-        p = tmp_path / "silent_branch.txt"
+    # functional: a silent run has no image, and runs writing xx and x
+    # per letter agree on x^omega although their delay is unbounded
+    @pytest.mark.parametrize("outputs", [("x", ""), ("xx", "x")],
+                             ids=["silent_branch", "drifting_branch"])
+    def test_one_image_is_printed(self, outputs, capsys, tmp_path):
+        p = tmp_path / "branches.txt"
         p.write_text("type: nft\nalphabet: a\noutputs: x\n"
                      "states: p q\ninitial: p q\nfinal: p q\n"
-                     'trans: p a p "x"\ntrans: q a q ""\n')
-        code, _, err = run(capsys, "eval", str(p), "(a)")
-        assert code == 65
-        assert "a finite word" in err
+                     f'trans: p a p "{outputs[0]}"\n'
+                     f'trans: q a q "{outputs[1]}"\n')
+        assert run(capsys, "eval", str(p), "(a)") == (0, "(x)\n", "")
 
 
 class TestWitness:

@@ -96,6 +96,35 @@ class TestFunctionality:
                        ["q"], ["r1", "r2"])
         assert functionality_check(t) is None
 
+    def test_silent_run_not_compared(self):
+        # the q-run accepts a^omega with a finite output: eval_up ignores it
+        t = transducer("a", "x", ["p", "q"],
+                       {("p", "a", "p", "x"), ("q", "a", "q", "")},
+                       ["p", "q"], ["p", "q"])
+        assert functionality_check(t) is None
+
+    def test_drift_reported_with_equal_images(self):
+        # unbounded delay, yet both runs write x^omega
+        t = transducer("a", "x", ["p", "q"],
+                       {("p", "a", "p", "xx"), ("q", "a", "q", "x")},
+                       ["p", "q"], ["p", "q"])
+        ce = functionality_check(t)
+        assert ce is not None
+        assert up_equal(ce.output1, ce.output2)
+
+    def test_pairs_that_cannot_accept_are_not_compared(self):
+        # On a(a|b)^n the p-run copies the input and the d-run is
+        # silent, so they drift apart by any word over ab.  Only the
+        # p-run accepts a word without c and only the d-run one with c,
+        # so that pair is never compared and no drifts are enumerated.
+        t = transducer("abc", "abc", ["s", "p", "d", "f"],
+                       {("s", "a", "p", ""), ("s", "a", "d", ""),
+                        ("p", "a", "p", "a"), ("p", "b", "p", "b"),
+                        ("d", "a", "d", ""), ("d", "b", "d", ""),
+                        ("d", "c", "f", ""), ("f", "c", "f", "c")},
+                       ["s"], ["p", "f"])
+        assert functionality_check(t) is None
+
 
 class TestContinuity:
     def test_branch_switch_not_continuous(self):

@@ -122,6 +122,19 @@ class TestStreaming:
         assert "".join(out) == "a" * 60 + "ccc"
         assert calls == {"mismatch": 0, "search": 33}
 
+    def test_one_trim_per_one_way_stream(self, monkeypatch):
+        import omegacont.oneway as ow
+        trims = []
+        trim = ow.buchi_trim
+
+        def counted_trim(b):
+            trims.append(b)
+            return trim(b)
+
+        monkeypatch.setattr(ow, "buchi_trim", counted_trim)
+        stream_feed(prefix_doubler(), "a" * 30 + "ccc")
+        assert len(trims) == 1
+
     def test_progress_on_continuous_machine(self):
         t = prefix_doubler()
         s = stream_start(t)
