@@ -184,17 +184,18 @@ def member_up(b: BuchiAutomaton, x: UPWord,
     """Does b accept the UP word x (from from_states, default initial)?"""
     p, n = len(x.prefix), len(x.prefix) + len(x.period)
     starts = b.initial if from_states is None else frozenset(from_states)
+    syms = x.prefix + x.period
 
     def succ(node):
         # positions p..n-1 are the period's, and n wraps back to p
         q, i = node
-        a, j = x[i], (i + 1 if i + 1 < n else p)
+        a, j = syms[i], (i + 1 if i + 1 < n else p)
         return [(a, (r, j)) for r in b.successors(q, a)]
 
     # A final product node on a cycle must repeat with the same position,
-    # which only happens at period positions; find_lasso handles this.
+    # which only happens at period positions, so no other node is tried.
     lasso = find_lasso([(q, 0) for q in starts], succ,
-                       lambda nd: nd[0] in b.final)
+                       lambda nd: nd[1] >= p and nd[0] in b.final)
     return lasso is not None
 
 

@@ -129,7 +129,7 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
     often, which is well defined only when t is functional.
     """
     p, n = len(x.prefix), len(x.prefix) + len(x.period)
-    syms = [x[i] for i in range(n)]
+    syms = x.prefix + x.period
     nxt = list(range(1, n)) + [p]
 
     def succ(node):
@@ -137,8 +137,11 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
         j = nxt[i]
         return [(g, (r, j)) for (r, g) in t.arcs(q, syms[i])]
 
+    # A node inside the prefix (i < p) lies on no cycle, since positions
+    # only grow there; testing it first skips its hopeless cycle search
+    # and leaves the lasso found unchanged.
     lasso = find_lasso([(q, 0) for q in _sorted(t.initial)], succ,
-                       lambda nd: nd[0] in t.final)
+                       lambda nd: nd[1] >= p and nd[0] in t.final)
     if lasso is None:
         return None
     if not any(lasso.loop_labels):
@@ -159,7 +162,8 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
 
         lasso = find_lasso([(q, 0, 0) for q in _sorted(t.initial)],
                            succ_phase,
-                           lambda nd: nd[2] == 0 and nd[0] in t.final)
+                           lambda nd: (nd[1] >= p and nd[2] == 0
+                                       and nd[0] in t.final))
         if lasso is None:
             raise EpsilonLoopOutput(str(x))
     return up_word(tuple(c for g in lasso.stem_labels for c in g),

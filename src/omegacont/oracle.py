@@ -74,17 +74,16 @@ def _evaluator(machine):
     return ev
 
 
-def _stable_up_to(imgs, window: int) -> int:
-    """Positions where the family's images can be trusted: below the
-    least pairwise lcp among the last three samples.  (Pairwise, since
-    a family can cycle with period two in n, making consecutive images
-    equal while the family keeps changing.)"""
-    stable = window
-    for x, y in itertools.combinations(imgs[-3:], 2):
-        l = up_lcp(x, y)
-        if l is not None:
-            stable = min(stable, l)
-    return stable
+def _stable_up_to(lcps, window: int) -> int:
+    """Positions where a family's images can be trusted: below the
+    least pairwise lcp among its last three samples, given the lcps of
+    consecutive samples.  (Pairwise, since a family can cycle with
+    period two in n, making every other image equal while the family
+    keeps changing.)  The outer pair needs no comparison: two words
+    that each agree with a third on m symbols agree with each other on
+    them, so its lcp is at least the lesser of the two consecutive
+    ones."""
+    return min([window] + [l for l in lcps[-2:] if l is not None])
 
 
 def _diverges(lcps) -> bool:
@@ -112,9 +111,11 @@ def brute_force_check(machine, variant: str, bound: int):
     cache = {}
 
     def image(prefix, period):
+        # (value, its first window symbols), or None outside the domain
         x = up_word(prefix, period)
         if x not in cache:
-            cache[x] = ev(x)
+            img = ev(x)
+            cache[x] = None if img is None else (img, img.take(window))
         return cache[x]
 
     for u in words_up_to(letters, 0, bound):
@@ -126,20 +127,20 @@ def brute_force_check(machine, variant: str, bound: int):
                 for z in words_up_to(letters, 1, bound):
                     # a family with one image outside the domain is skipped,
                     # so its later images need not be evaluated
-                    imgs = []
+                    family = []
                     for n in range(1, n_max + 1):
-                        img = image(u + v * n + w, z)
-                        if img is None:
+                        got = image(u + v * n + w, z)
+                        if got is None:
                             break
-                        imgs.append(img)
-                    if len(imgs) < n_max:
+                        family.append(got)
+                    if len(family) < n_max:
                         continue
-                    takes = [i.take(window) for i in imgs]
+                    imgs, takes = zip(*family)
                     lcps = [up_lcp(a, b) for a, b in zip(imgs, imgs[1:])]
                     # positions that have not stabilized across the last
                     # samples may mismatch as an artifact of the finite
                     # n range
-                    tails.append((w, z, takes, _stable_up_to(imgs, window)))
+                    tails.append((w, z, takes, _stable_up_to(lcps, window)))
                     if _diverges(lcps):
                         pair = BadPair(u, v, w, w, up_word((), z),
                                        up_word((), z), Divergent("left"))
@@ -177,7 +178,8 @@ def recheck_bad_pair(machine, pair: BadPair, n_max: int = 8) -> bool:
         # the position must have stabilized in both families
         i = pair.evidence.position
         for fam in (left, right):
-            if i >= _stable_up_to(fam, i + 1):
+            last = [up_lcp(x, y) for x, y in zip(fam[-3:], fam[-2:])]
+            if i >= _stable_up_to(last, i + 1):
                 return False
     else:
         lcps = [up_lcp(x, y) for x, y in zip(left, left[1:])]

@@ -62,7 +62,9 @@ class UPWord:
 
     def take(self, n: int) -> Word:
         """First n symbols as a finite word."""
-        return tuple(self[i] for i in range(n))
+        # enough copies of the period to reach n symbols
+        k = max(0, -(-(n - len(self.prefix)) // len(self.period)))
+        return (self.prefix + self.period * k)[:max(n, 0)]
 
     def position_after(self, i: int) -> int:
         """Canonical position index reached after reading i symbols.
@@ -122,10 +124,8 @@ def _agreement_cutoff(x: UPWord, y: UPWord) -> int:
 def up_lcp(x: UPWord, y: UPWord) -> int | None:
     """Length of the longest common prefix, or None when x == y."""
     n = _agreement_cutoff(x, y)
-    for i in range(n):
-        if x[i] != y[i]:
-            return i
-    return None
+    a, b = x.take(n), y.take(n)
+    return None if a == b else lcp(a, b)
 
 
 def lcp(u: Sequence, w: Sequence) -> int:

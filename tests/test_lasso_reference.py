@@ -10,7 +10,8 @@ lasso, on every machine and word tried here.
 
 import pytest
 
-from omegacont.buchi import Lasso, accepts_some, all_up_words, find_lasso
+from omegacont.buchi import (Lasso, accepts_some, all_up_words, find_lasso,
+                             member_up)
 from omegacont.fixtures import branch_switch, prefix_doubler, tail_classifier
 from omegacont.oneway import (EpsilonLoopOutput, domain_automaton, eval_up,
                               transducer)
@@ -153,6 +154,22 @@ def ref_path_between(starts, target, succ):
     return None
 
 
+def ref_member_up(b, x):
+    """Lasso search over (state, position) that tries every final node,
+    prefix positions included."""
+    p, n = len(x.prefix), len(x.prefix) + len(x.period)
+
+    def succ(node):
+        q, i = node
+        j = i + 1 if i + 1 < n else p
+        return [(a, (r, j)) for (s, a, r) in b.transitions
+                if s == q and a == x[i]]
+
+    starts = [(q, 0) for q in b.initial]
+    return ref_find_lasso(starts, succ, lambda nd: nd[0] in b.final) \
+        is not None
+
+
 def outcome(evaluate, t, x):
     try:
         return evaluate(t, x)
@@ -206,9 +223,19 @@ def test_accepts_some_matches_reference(name, t):
         ref_find_lasso(b.initial, succ, lambda q: q in b.final)
 
 
+@pytest.mark.parametrize("name,t", MACHINES, ids=[n for n, _ in MACHINES])
+def test_member_up_matches_reference(name, t):
+    b = domain_automaton(t)
+    for x in all_up_words(t.alphabet, 3, 2):
+        assert member_up(b, x) == ref_member_up(b, x), x
+
+
 def test_reference_covers_every_outcome():
     got = [outcome(eval_up, t, x)
            for _, t in MACHINES for x in all_up_words(t.alphabet, 3, 2)]
     assert None in got
     assert EpsilonLoopOutput in got
     assert any(isinstance(y, UPWord) for y in got)
+    member = {member_up(domain_automaton(t), x)
+              for _, t in MACHINES for x in all_up_words(t.alphabet, 3, 2)}
+    assert member == {True, False}

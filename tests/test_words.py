@@ -104,6 +104,40 @@ class TestEquality:
             assert a[:got] == b[:got] and a[got] != b[got]
 
 
+# Every presentation u.v^omega over {a, b} with |u| <= 3 and 1 <= |v| <= 3,
+# canonical or not, so distinct presentations of one word are included.
+PRESENTATIONS = [UPWord(u, v)
+                 for u in itertools.chain.from_iterable(
+                     itertools.product("ab", repeat=k) for k in range(4))
+                 for k in range(1, 4)
+                 for v in itertools.product("ab", repeat=k)]
+
+
+def ref_lcp(x, y, n=64):
+    """First position where x and y differ, read symbol by symbol; None
+    when they agree on n symbols (far past any difference here)."""
+    for i in range(n):
+        if x[i] != y[i]:
+            return i
+    return None
+
+
+class TestSliceReferences:
+    def test_take_matches_symbols(self):
+        for x in PRESENTATIONS:
+            for n in range(13):
+                assert x.take(n) == tuple(x[i] for i in range(n)), (x, n)
+
+    def test_up_lcp_matches_symbols(self):
+        equal = 0
+        for x, y in itertools.product(PRESENTATIONS, repeat=2):
+            got = up_lcp(x, y)
+            assert got == ref_lcp(x, y), (x, y)
+            equal += got is None and x != y
+        # equal words with different presentations, e.g. a.(a) and (a)
+        assert equal > 0
+
+
 class TestFiniteHelpers:
     def test_lcp(self):
         assert lcp("abc", "abd") == 2
