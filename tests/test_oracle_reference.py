@@ -13,8 +13,8 @@ from math import lcm
 
 import pytest
 
-from omegacont.fixtures import (_load, branch_switch, prefix_doubler,
-                                stem_doubler)
+from omegacont.fixtures import (branch_switch, prefix_doubler, stem_doubler,
+                                tail_classifier)
 from omegacont.oracle import (BadPair, BadPairFound, Divergent, MismatchAt,
                               NoneUpTo, _diverges, _evaluator,
                               brute_force_check, random_instance)
@@ -98,11 +98,11 @@ def ref_brute_force_check(machine, variant, bound):
 
 
 def machines():
-    for name in ("t_c", "t_nc", "t_inf"):
-        yield name, _load(name)
-    yield "branch_switch", branch_switch()
-    yield "prefix_doubler", prefix_doubler()
-    yield "stem_doubler", stem_doubler()
+    # the shipped machines t_c, t_nc, t_inf and j
+    yield "t_c", prefix_doubler()
+    yield "t_nc", branch_switch()
+    yield "t_inf", tail_classifier()
+    yield "j", stem_doubler()
     yield "parity_flipper", parity_flipper()
     for seed in range(32):
         yield f"random_instance({seed})", random_instance(seed)

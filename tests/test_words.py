@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from omegacont.words import (
     UPWord, as_word, is_prefix, lcp, mismatch, primitive_root,
-    up_equal, up_lcp, up_normalize, up_word,
+    up_equal, up_lcp, up_normalize, up_word, words_up_to,
 )
 
 
@@ -106,11 +106,8 @@ class TestEquality:
 
 # Every presentation u.v^omega over {a, b} with |u| <= 3 and 1 <= |v| <= 3,
 # canonical or not, so distinct presentations of one word are included.
-PRESENTATIONS = [UPWord(u, v)
-                 for u in itertools.chain.from_iterable(
-                     itertools.product("ab", repeat=k) for k in range(4))
-                 for k in range(1, 4)
-                 for v in itertools.product("ab", repeat=k)]
+PRESENTATIONS = [UPWord(u, v) for u in words_up_to("ab", 0, 3)
+                 for v in words_up_to("ab", 1, 3)]
 
 
 def ref_lcp(x, y, n=64):
