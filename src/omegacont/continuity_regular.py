@@ -23,9 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .lookahead import (MultipleStates, NoState, eliminate_lookahead,
-                        good_annotation)
-from .loops import NotIdempotent, NotInPrefDomain, rho
+from .lookahead import MultipleStates, NoState, good_annotation
+from .loops import BlockSummaries, NotIdempotent, NotInPrefDomain
 from .twoway import (ENDMARKER, DomainOracle, Output, TwoWayPLA,
                      TwoWayTransducer, eval_up_2way, run_finite,
                      sampled_extensions)
@@ -124,8 +123,8 @@ class _PlainSpace:
         pairs = []
         for u1 in words_up_to(self.letters, 0, bounds.max_len_u1):
             for u2 in words_up_to(self.letters, 1, bounds.max_len_u2):
-                if min((_apply(m, u1), _apply(m, u2))
-                       for m in self.autos) == (u1, u2):
+                if not any((_apply(m, u1), _apply(m, u2)) < (u1, u2)
+                           for m in self.autos):
                     pairs.append((u1, u2))
         pairs.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
         for pair in pairs:
@@ -143,7 +142,7 @@ class _AnnotatedSpace:
 
     def __init__(self, t: TwoWayPLA, ext_bound: int = 4):
         self.original = t
-        self.machine = eliminate_lookahead(t)
+        self.machine = t.eliminated
         self.p_aut = t.lookahead.automaton
         self.letters = sorted(t.alphabet)
         self.ext_bound = ext_bound
@@ -217,7 +216,8 @@ def _make_space(t, state_cap: int = 12, ext_bound: int = 4):
     return _PlainSpace(t, state_cap, ext_bound)
 
 
-def _verify(space, w: RegularWitness, n: int, pref) -> bool:
+def _verify(space, w: RegularWitness, n: int, pref,
+            summaries: BlockSummaries) -> bool:
     m = space.machine
     if space.project(w.u1) != space.project(w.u1p):
         return False
@@ -230,7 +230,7 @@ def _verify(space, w: RegularWitness, n: int, pref) -> bool:
             return False
         try:
             # rho raises NotIdempotent unless b is idempotent in context
-            rhos.append(rho(m, a, b, c))
+            rhos.append(summaries.rho(a, b, c))
         except (NotIdempotent, NotInPrefDomain):
             return False
         if not pref(a + b + c):
@@ -258,7 +258,8 @@ def verify_witness(t, w: RegularWitness, n: int = 4,
     """Recheck every witness condition and that the output mismatch
     persists at the witness position for 1..n copies of the loops."""
     space = _make_space(t, state_cap, ext_bound)
-    return _verify(space, w, n, space.pref_member)
+    return _verify(space, w, n, space.pref_member,
+                   BlockSummaries(space.machine))
 
 
 def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
@@ -268,12 +269,15 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
 
     The enumeration is deterministic: candidate (u1, u2) pairs grouped
     by projection and ordered by total length then lexicographically,
-    u3 parts likewise within each group.
+    u3 parts likewise within each group.  A group whose distinct rho
+    values form a prefix chain is skipped: no pair of its entries
+    mismatches, so the order and the first witness are unchanged.
+    One BlockSummaries serves every rho of the search and its checks.
     """
     if variant not in ("cont", "ucont"):
         raise ValueError(f"unknown variant {variant!r}")
     space = _make_space(t, state_cap, ext_bound)
-    m = space.machine
+    summaries = BlockSummaries(space.machine)
     pref_cache: Dict[Word, bool] = {}
 
     def pref(w):
@@ -288,10 +292,13 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
         for (u1, u2) in pairs:
             for u3 in space.thirds(u1, u2, bounds):
                 try:
-                    r = rho(m, u1, u2, u3)
+                    r = summaries.rho(u1, u2, u3)
                 except (NotIdempotent, NotInPrefDomain):
                     continue
                 entries.append((u1, u2, u3, r))
+        chain = sorted({e[3] for e in entries}, key=len)
+        if all(a == b[:len(a)] for a, b in zip(chain, chain[1:])):
+            continue
         for e1, e2 in itertools.combinations(entries, 2):
             pos = mismatch(e1[3], e2[3])
             if pos is None:
@@ -302,6 +309,6 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
                 continue
             w = RegularWitness(e1[0], e1[1], e1[2], e2[0], e2[1], e2[2],
                                pos, variant)
-            if _verify(space, w, bounds.verify_n, pref):
+            if _verify(space, w, bounds.verify_n, pref, summaries):
                 return NotContinuous(w, space.pref_exact)
     return NoWitnessUpTo(bounds, space.pref_exact)

@@ -10,17 +10,35 @@ factor u2 the run on u1 u2^{n+1} u3 factors as
 pi_0 tr(C_1)^n pi_1 ... tr(C_k)^n pi_k where the C_i are the factor's
 crossing traversals; the decomposition is extracted by aligning the
 runs on u1 u2 u3 and u1 u2 u2 u3.
+
+Idempotence is decided in context, not as compose(b, b) == b over all
+entries, which accepts a different set of candidates: every copy border
+of the two runs must carry the same crossing sequence, and one copy
+must exit as two do on each entry that sequence names.
+
+rho reads the same answer off block summaries (BlockSummaries): the
+blocks ^u1, u2 and u3 are each simulated once per entry, and the runs
+are walked block by block, so a search over many triples sharing these
+blocks does not re-simulate whole tapes.  decompose keeps its scan of
+the full runs, because its traversals and anchors are run indices,
+which the CLI prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
-from .twoway import FiniteRun, TwoWayTransducer, run_finite
+from .twoway import ENDMARKER, FiniteRun, TwoWayTransducer, run_finite
 from .words import Word, as_word
 
 Exit = Optional[Tuple[str, object, bool]]  # (side, state, emitted) or None
+# (exit side or None when the run blocks or loops inside the block,
+#  exit state, output, the boundary-cell configurations met and the
+#  entry configuration, as bit sets: bit 2i (left cell) or 2i+1 (right
+#  cell of a block of two or more) for the state numbered i)
+Visit = Tuple[Optional[str], object, Word, int, int]
 
 
 @dataclass
@@ -219,6 +237,18 @@ def _out(run: FiniteRun, i: int, j: int) -> Word:
     return tuple(c for g in run.chunks[i:j] for c in g)
 
 
+def _loop_outputs(pis, segs2) -> List[Word]:
+    """tr(C_1) .. tr(C_k): segment i of the run on u1 u2 u2 u3 less its
+    suffix pi_i, the output one more copy of u2 adds to crossing i."""
+    trs = []
+    for i in range(1, len(pis)):
+        seg2, pi = segs2[i], pis[i]
+        if pi and seg2[len(seg2) - len(pi):] != pi:
+            raise RuntimeError("pumping alignment failed: no common suffix")
+        trs.append(seg2[:len(seg2) - len(pi)])
+    return trs
+
+
 def decompose(t: TwoWayTransducer, u1, u2, u3) -> RunDecomposition:
     """Pumping decomposition of the run on u1 u2 u3 around the
     idempotent factor u2, aligned against the run on u1 u2 u2 u3."""
@@ -248,27 +278,199 @@ def decompose(t: TwoWayTransducer, u1, u2, u3) -> RunDecomposition:
     cuts1 = [0] + anchors1 + [len(run1.configs)]
     cuts2 = [0] + anchors2 + [len(run2.configs)]
     pis = [_out(run1, cuts1[i], cuts1[i + 1]) for i in range(k + 1)]
-    trs = []
-    for i in range(1, k + 1):
-        seg2 = _out(run2, cuts2[i], cuts2[i + 1])
-        pi = pis[i]
-        if pi and seg2[len(seg2) - len(pi):] != pi:
-            raise RuntimeError("pumping alignment failed: no common suffix")
-        trs.append(seg2[:len(seg2) - len(pi)])
-
+    trs = _loop_outputs(pis, [_out(run2, cuts2[i], cuts2[i + 1])
+                              for i in range(len(cuts2) - 1)])
     components = tuple((travs1.index(c),) for c in cross1)
     return RunDecomposition(tuple(travs1), components, tuple(anchors1),
                             tuple(pis), tuple(trs))
 
 
+def _traverse(t: TwoWayTransducer, number: Dict, w: Word, leftmost: bool,
+              side: str, state) -> Visit:
+    """One visit of the head to the block w, entered at its left end
+    (side "L") or its right end ("R") in state.  Moving left off the
+    leftmost block blocks, as at cell 0 of the tape."""
+    last = len(w) - 1
+    pos = 0 if side == "L" else last
+    entry = (1 if pos == 0 else 2) << 2 * number[state]
+    out = []
+    seen = set()
+    boundary = 0
+    while True:
+        cfg = (pos, state)
+        if cfg in seen:
+            return None, None, tuple(out), boundary, entry
+        seen.add(cfg)
+        if pos == 0:
+            boundary |= 1 << 2 * number[state]
+        elif pos == last:
+            boundary |= 2 << 2 * number[state]
+        tr = t.delta.get((state, w[pos]))
+        if tr is None or (leftmost and pos == 0 and tr[2] == -1):
+            return None, None, tuple(out), boundary, entry
+        state, g, d = tr
+        out.extend(g)
+        pos += d
+        if pos < 0:
+            return "L", state, tuple(out), boundary, entry
+        if pos > last:
+            return "R", state, tuple(out), boundary, entry
+
+
+class _Block(dict):
+    """The visits to one block word, by entry (side, state), each
+    simulated on first use."""
+
+    def __init__(self, t: TwoWayTransducer, number: Dict, w: Word,
+                 leftmost: bool):
+        super().__init__()
+        self.args = (t, number, w, leftmost)
+
+    def __missing__(self, entry) -> Visit:
+        v = self[entry] = _traverse(*self.args, *entry)
+        return v
+
+
+def _segments(visits, lo: int, hi: int) -> List[Word]:
+    """Outputs pi_0 .. pi_k of a walk, cut at the start of each crossing
+    traversal of blocks lo..hi: one entered on one side and left on the
+    other (the run's start counts as a left entry)."""
+    cuts = []
+    start = entry = None
+    for k, (b, side, ex, _) in enumerate(visits):
+        if not lo <= b <= hi:
+            continue
+        if start is None:
+            start, entry = k, side
+        if (ex == "R" and b == hi) or (ex == "L" and b == lo):
+            if ex != entry:
+                cuts.append(start)
+            start = None
+    ends = [0] + cuts + [len(visits)]
+    return [tuple(chain.from_iterable(v[3] for v in visits[i:j]))
+            for i, j in zip(ends, ends[1:])]
+
+
+class BlockSummaries:
+    """rho of t, read off per-block traversal summaries.
+
+    The tapes of rho(u1, u2, u3) are made of the blocks ^u1 (u1 on a
+    marked tape), u2 and u3.  Each block word is simulated once per
+    entry cell, entry state and whether it is the leftmost block (where
+    a left exit blocks), and the visit's exit side, exit state, output
+    and boundary-cell configurations are kept; the configurations find
+    the loops of a run at the step run_finite finds them.  The
+    behaviors of u2 and u2 u2, for the idempotence check, are kept per
+    u2.  One instance serves the rho calls of one search, whose
+    triples share these blocks; it holds nothing beyond that search."""
+
+    def __init__(self, t: TwoWayTransducer):
+        self.t = t
+        self._number = {q: i for i, q in enumerate(t.states)}
+        self._blocks: Dict[Tuple[Word, bool], _Block] = {}
+        self._loops: Dict[Word, Tuple[Behavior, Behavior]] = {}
+
+    def _block(self, w: Word, leftmost: bool) -> _Block:
+        b = self._blocks.get((w, leftmost))
+        if b is None:
+            b = self._blocks[(w, leftmost)] = _Block(self.t, self._number,
+                                                     w, leftmost)
+        return b
+
+    def _walk(self, words):
+        """Follow the run of t on the tape made of the non-empty blocks
+        words, one visit at a time.  Returns whether the run leaves the
+        tape to the right, the crossings of each block border (border i
+        lies left of block i, the last one is the tape's right end)
+        and the visits as (block, entry side, exit side, output)."""
+        blocks = [self._block(w, i == 0) for i, w in enumerate(words)]
+        cross = [[] for _ in range(len(blocks) + 1)]
+        visits = []
+        if not blocks:
+            return True, cross, visits
+        seen = [0] * len(blocks)
+        last = len(blocks) - 1
+        b, side, q, border = 0, "L", self.t.initial, None
+        while True:
+            ex, q, out, boundary, entry = blocks[b][side, q]
+            # A run meeting a configuration of an earlier visit follows
+            # that visit to one of its boundary cells before it crosses
+            # a border, so comparing boundary cells finds every loop in
+            # time to record the same crossings as run_finite.
+            if seen[b] & boundary:
+                if seen[b] & entry:
+                    # the step into a repeated configuration is not run
+                    cross[border].pop()
+                return False, cross, visits
+            seen[b] |= boundary
+            visits.append((b, side, ex, out))
+            if ex is None:
+                return False, cross, visits
+            if ex == "R":
+                if b == last:
+                    cross[-1].append(("R", q))
+                    return True, cross, visits
+                b, side = b + 1, "L"
+                border = b
+            else:
+                border = b
+                b, side = b - 1, "R"
+            cross[border].append((ex, q))
+
+    def _stable(self, u2: Word, crossings) -> bool:
+        """On each entry the copy borders name, one u2 exits as u2 u2
+        does: compose(b, b) agrees with b where the run uses it."""
+        if u2 not in self._loops:
+            b = behavior(self.t, u2)
+            self._loops[u2] = (b, compose(b, b))
+        b, bb = self._loops[u2]
+        for d, q in set(crossings):
+            if d == "R":
+                if b.left_entry[q] != bb.left_entry[q]:
+                    return False
+            elif b.right_entry[q] != bb.right_entry[q]:
+                return False
+        return True
+
+    def rho(self, u1: Word, u2: Word, u3: Word) -> Word:
+        """rho(t, u1, u2, u3) from two walks over the blocks."""
+        first = u1 if self.t.marked else (ENDMARKER,) + u1
+        i = 1 if first else 0  # index of the (first) u2 block
+        ends, cross, visits = self._walk([w for w in (first, u2, u3) if w])
+        if not u2:
+            if not ends:
+                raise NotInPrefDomain("run does not reach the right end")
+            return tuple(chain.from_iterable(v[3] for v in visits))
+        border = cross[i]
+        if cross[i + 1] != border or not self._stable(u2, border):
+            raise NotIdempotent(str(u2))
+        ends2, cross2, visits2 = self._walk(
+            [w for w in (first, u2, u2, u3) if w])
+        if any(c != border for c in cross2[i:i + 3]):
+            raise NotIdempotent(str(u2))
+        if not (ends and ends2):
+            raise NotInPrefDomain("run does not reach the right end")
+        pis = _segments(visits, i, i)
+        out = list(pis[0])
+        for tr, pi in zip(_loop_outputs(pis, _segments(visits2, i, i + 1)),
+                          pis[1:]):
+            if tr:
+                break
+            out.extend(pi)
+        return tuple(out)
+
+
 def rho(t: TwoWayTransducer, u1, u2, u3) -> Word:
     """Iteration-stable output prefix: the run's output up to the first
     anchor whose component emits when pumped, or the whole output when
-    no component does."""
-    d = decompose(t, u1, u2, u3)
-    out = list(d.pi_outputs[0])
-    for i, tr in enumerate(d.tr_outputs):
-        if tr:
-            return tuple(out)
-        out.extend(d.pi_outputs[i + 1])
-    return tuple(out)
+    no component does.
+
+    Read off block summaries (see BlockSummaries) rather than
+    decompose's runs.  The walk over ^u1 | u2 | u3 gives the two copy
+    borders; NotIdempotent is raised when they differ, or when one copy
+    of u2 does not exit as two do on an entry they name, before the
+    walk over ^u1 | u2 | u2 | u3 starts, whose three copy borders must
+    match them too.  The pi and tr segments are cut at the crossing
+    visits of u2 (of u2 u2 in the second walk).  Values and exceptions
+    are those of decompose, which scans whole runs."""
+    return BlockSummaries(t).rho(as_word(u1), as_word(u2), as_word(u3))

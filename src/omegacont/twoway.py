@@ -16,6 +16,7 @@ evaluation goes through look-ahead elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .buchi import BuchiAutomaton, all_up_words, explore, pref_automaton
@@ -94,6 +95,14 @@ class TwoWayPLA:
     delta: Dict[Tuple[State, object, State], Tuple[State, Word, int]]
     initial: State
     lookahead: PropheticLookAhead
+
+    @cached_property
+    def eliminated(self) -> TwoWayTransducer:
+        """The look-ahead eliminated machine (see
+        lookahead.eliminate_lookahead), built on first use: the machine
+        is immutable, so every evaluation and search shares one."""
+        from .lookahead import eliminate_lookahead
+        return eliminate_lookahead(self)
 
 
 def two_way_pla(alphabet, output_alphabet, states, delta, initial,
@@ -189,14 +198,14 @@ def eval_up_2way(t, x: UPWord):
     run then repeats the interval forever, shifted.
     """
     if isinstance(t, TwoWayPLA):
-        from .lookahead import NoState, eliminate_lookahead, good_annotation
+        from .lookahead import NoState, good_annotation
         marked = up_word((ENDMARKER,) + x.prefix, x.period)
         try:
             ann = good_annotation(t.lookahead.automaton, marked)
         except NoState:
             # the look-ahead rejects the input outright
             return NotInDomain("blocked")
-        return eval_up_2way(eliminate_lookahead(t), ann)
+        return eval_up_2way(t.eliminated, ann)
 
     if t.marked:
         tape = x

@@ -1,18 +1,21 @@
 import dataclasses
+import random
 
 import pytest
 
+from omegacont import lookahead
 from omegacont.continuity_regular import (
-    NoWitnessUpTo, NotContinuous, RegularWitness, SearchBounds,
-    alphabet_automorphisms, search_witness, verify_witness,
+    NoWitnessUpTo, NotContinuous, RegularWitness, SearchBounds, _apply,
+    _PlainSpace, alphabet_automorphisms, search_witness, verify_witness,
 )
 from omegacont.fixtures import (
     ENDMARKER, block_doubler, prefix_doubler, prefix_doubler_2way,
     stem_doubler, tail_classifier, tail_classifier_2way,
 )
 from omegacont.oneway import decide_continuity
-from omegacont.twoway import two_way
-from omegacont.words import up_equal, up_word
+from omegacont.twoway import TwoWayTransducer, two_way
+from omegacont.words import up_equal, up_word, words_up_to
+from test_loops import random_two_way
 
 
 def tail_switch():
@@ -138,3 +141,60 @@ class TestAutomorphisms:
     def test_asymmetric_machine_identity_only(self):
         autos = alphabet_automorphisms(tail_switch())
         assert len(autos) == 1
+
+    def test_groups_match_min_over_automorphisms(self):
+        # the orbit representative is the least image of the pair
+        def by_min(space, bounds):
+            pairs = [(u1, u2)
+                     for u1 in words_up_to(space.letters, 0,
+                                           bounds.max_len_u1)
+                     for u2 in words_up_to(space.letters, 1,
+                                           bounds.max_len_u2)
+                     if min((_apply(m, u1), _apply(m, u2))
+                            for m in space.autos) == (u1, u2)]
+            pairs.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
+            return [(p, [p]) for p in pairs]
+
+        rng = random.Random(13)
+        machines = [block_doubler()]
+        for _ in range(20):
+            t = random_two_way(rng)
+            machines += [t, _swap_symmetric(t)]
+        symmetric = 0
+        for t in machines:
+            space = _PlainSpace(t)
+            symmetric += len(space.autos) > 1
+            bounds = SearchBounds(3, 3, 1)
+            assert list(space.groups(bounds)) == by_min(space, bounds)
+        assert symmetric > 20
+
+
+def _swap_symmetric(t: TwoWayTransducer) -> TwoWayTransducer:
+    """t with its b-moves replaced by the mirror images of its a-moves,
+    so that swapping a and b is an automorphism."""
+    swap = {"a": "b", "b": "a"}
+    delta = {k: v for k, v in t.delta.items() if k[1] != "b"}
+    for (q, a), (r, g, d) in t.delta.items():
+        if a == "a":
+            delta[(q, "b")] = (r, tuple(swap[c] for c in g), d)
+    return dataclasses.replace(t, delta=delta)
+
+
+class TestLookAheadElimination:
+    @pytest.mark.parametrize("make", [stem_doubler, tail_classifier_2way,
+                                      prefix_doubler_2way],
+                             ids=["j", "f_inf", "t_c_2way"])
+    def test_one_elimination_per_machine(self, make, monkeypatch):
+        built = []
+
+        def counted(t):
+            built.append(t)
+            return eliminate(t)
+
+        eliminate = lookahead.eliminate_lookahead
+        monkeypatch.setattr(lookahead, "eliminate_lookahead", counted)
+        t = make()
+        for variant in ("cont", "ucont"):
+            search_witness(t, variant)
+        assert built == [t]
+        assert t.eliminated == eliminate(make())

@@ -211,6 +211,15 @@ def test_random_one_way_match_greedy():
                 _steps(_greedy_step, machine, word), (seed, word)
 
 
+def test_longest_run_shorter_than_the_committed_output():
+    # after bb the longest run of this machine has written nothing,
+    # less than the committed a, on exact answers: the step commits
+    # nothing, as the greedy steps do
+    machine = random_instance(186)
+    assert _steps(stream_step, machine, "bbaa") == ["a", "", "", "ab"]
+    assert _steps(_greedy_step, machine, "bbaa") == ["a", "", "", "ab"]
+
+
 @pytest.mark.parametrize("machine,word", [
     (prefix_doubler_2way(), "c"), (prefix_doubler_2way(), "ac"),
     (prefix_doubler_2way(), "ad"), (stem_doubler(), "ba")],
