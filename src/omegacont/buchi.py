@@ -17,9 +17,10 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product as iproduct
 from typing import Callable, FrozenSet, Hashable, Iterable, Optional, Tuple
 
-from .words import UPWord
+from .words import UPWord, up_word
 
 State = Hashable
 Node = Hashable
@@ -210,7 +211,6 @@ def accepts_some(b: BuchiAutomaton) -> Optional[Lasso]:
 
 def lasso_word(lasso: Lasso) -> UPWord:
     """The UP word read along a lasso whose labels are symbols."""
-    from .words import up_word
     return up_word(lasso.stem_labels, lasso.loop_labels)
 
 
@@ -383,14 +383,12 @@ def _ambiguous_word(b: BuchiAutomaton) -> Optional[UPWord]:
 
 def all_up_words(alphabet, max_prefix: int, max_period: int):
     """All canonical UP words over alphabet within the length bounds."""
-    from itertools import product as iproduct
     syms = sorted(alphabet, key=repr)
     seen = set()
     for lp in range(max_prefix + 1):
         for lq in range(1, max_period + 1):
             for u in iproduct(syms, repeat=lp):
                 for v in iproduct(syms, repeat=lq):
-                    from .words import up_word
                     x = up_word(u, v)
                     if (x.prefix, x.period) not in seen:
                         seen.add((x.prefix, x.period))

@@ -16,12 +16,12 @@ entries, which accepts a different set of candidates: every copy border
 of the two runs must carry the same crossing sequence, and one copy
 must exit as two do on each entry that sequence names.
 
-rho reads the same answer off block summaries (BlockSummaries): the
-blocks ^u1, u2 and u3 are each simulated once per entry, and the runs
-are walked block by block, so a search over many triples sharing these
-blocks does not re-simulate whole tapes.  decompose keeps its scan of
-the full runs, because its traversals and anchors are run indices,
-which the CLI prints.
+There is one model of a run here, block summaries (BlockSummaries):
+the blocks ^u1, u2 and u3 are each simulated once per entry, and the
+runs are walked block by block, so a search over many triples sharing
+these blocks does not re-simulate whole tapes.  rho, decompose and
+is_idempotent read these walks, and behavior the same per-entry
+simulation of one block.
 """
 
 from __future__ import annotations
@@ -30,27 +30,22 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .twoway import ENDMARKER, FiniteRun, TwoWayTransducer, run_finite
+from .twoway import ENDMARKER, TwoWayTransducer
 from .words import Word, as_word
 
 Exit = Optional[Tuple[str, object, bool]]  # (side, state, emitted) or None
 # (exit side or None when the run blocks or loops inside the block,
 #  exit state, output, the boundary-cell configurations met and the
 #  entry configuration, as bit sets: bit 2i (left cell) or 2i+1 (right
-#  cell of a block of two or more) for the state numbered i)
-Visit = Tuple[Optional[str], object, Word, int, int]
+#  cell of a block of two or more) for the state numbered i, and the
+#  number of steps taken inside the block)
+Visit = Tuple[Optional[str], object, Word, int, int, int]
 
 
 @dataclass
 class Behavior:
     left_entry: Dict[object, Exit]
     right_entry: Dict[object, Exit]
-
-    @property
-    def produces(self) -> bool:
-        return any(v is not None and v[2]
-                   for m in (self.left_entry, self.right_entry)
-                   for v in m.values())
 
 
 class NotIdempotent(Exception):
@@ -61,26 +56,6 @@ class NotInPrefDomain(Exception):
     pass
 
 
-def _simulate(t: TwoWayTransducer, w: Word, state, pos) -> Exit:
-    emitted = False
-    seen = set()
-    while True:
-        if pos < 0:
-            return ("L", state, emitted)
-        if pos >= len(w):
-            return ("R", state, emitted)
-        cfg = (state, pos)
-        if cfg in seen:
-            return None  # trapped
-        seen.add(cfg)
-        tr = t.delta.get((state, w[pos]))
-        if tr is None:
-            return None  # blocked: never exits either
-        state, g, d = tr
-        emitted = emitted or bool(g)
-        pos += d
-
-
 def behavior(t: TwoWayTransducer, w) -> Behavior:
     """Crossing summary of t over the factor w (simulated in isolation,
     without endmarkers)."""
@@ -88,8 +63,9 @@ def behavior(t: TwoWayTransducer, w) -> Behavior:
     if not w:
         return Behavior({q: ("R", q, False) for q in t.states},
                         {q: ("L", q, False) for q in t.states})
-    return Behavior({q: _simulate(t, w, q, 0) for q in t.states},
-                    {q: _simulate(t, w, q, len(w) - 1) for q in t.states})
+    block = _Block(t, {q: i for i, q in enumerate(t.states)}, w, False)
+    return Behavior({q: _exit(block["L", q]) for q in t.states},
+                    {q: _exit(block["R", q]) for q in t.states})
 
 
 def compose(b1: Behavior, b2: Behavior) -> Behavior:
@@ -122,56 +98,20 @@ def compose(b1: Behavior, b2: Behavior) -> Behavior:
                     {q: walk(2, "R", q) for q in states})
 
 
-def _crossings(run: FiniteRun, borders):
-    """Ordered (direction, state) crossings of each border p (between
-    cells p-1 and p), read in one pass over the run."""
-    seqs = {p: [] for p in borders}
-    seq = list(run.configs)
-    if run.exit == "right_end":
-        seq.append((run.exit_state, run.configs[-1][1] + 1))
-    for (_, p1), (s2, p2) in zip(seq, seq[1:]):
-        if p2 == p1 + 1 and p2 in seqs:
-            seqs[p2].append(("R", s2))
-        elif p2 == p1 - 1 and p1 in seqs:
-            seqs[p1].append(("L", s2))
-    return [seqs[p] for p in borders]
-
-
-def _idempotent_with_runs(t, u1, u2, run1, run2) -> bool:
-    n = len(u2)
-    lo = (0 if t.marked else 1) + len(u1)
-    borders = _crossings(run1, (lo, lo + n))
-    borders += _crossings(run2, (lo, lo + n, lo + 2 * n))
-    if any(c != borders[0] for c in borders[1:]):
-        return False
-    # Equal borders: every copy is entered exactly at their crossings,
-    # a rightward one at its left end, a leftward one at its right end
-    # (a run starting inside the first copy, on a marked tape, crosses
-    # none and so never leaves it).  On each entry one copy must exit
-    # as two do: b == compose(b, b) on the entries that occur.
-    uu = u2 + u2
-    for d, q in set(borders[0]):
-        if d == "R":
-            same = _simulate(t, u2, q, 0) == _simulate(t, uu, q, 0)
-        else:
-            same = _simulate(t, u2, q, n - 1) == _simulate(t, uu, q, 2 * n - 1)
-        if not same:
-            return False
-    return True
-
-
 def is_idempotent(t: TwoWayTransducer, u1, u2, u3) -> bool:
     """Whether u2 is an idempotent loop in context: every copy border
-    of u1 u2 u3 and u1 u2 u2 u3 carries the same crossing sequence (one
-    scan per run), so extra copies replicate the run shape, and on each
-    entry of that sequence u2 and u2 u2 are simulated to the same exit
-    (its behavior composed with itself is itself where it is used)."""
-    u1, u2, u3 = as_word(u1), as_word(u2), as_word(u3)
-    if not u2:
-        return True
-    run1 = run_finite(t, u1 + u2 + u3)
-    run2 = run_finite(t, u1 + u2 + u2 + u3)
-    return _idempotent_with_runs(t, u1, u2, run1, run2)
+    of u1 u2 u3 and u1 u2 u2 u3 carries the same crossing sequence, so
+    extra copies replicate the run shape, and on each entry of that
+    sequence one u2 exits as u2 u2 does (its behavior composed with
+    itself is itself where it is used).  That is, decompose raises no
+    NotIdempotent, whether or not the runs reach the right end."""
+    try:
+        BlockSummaries(t)._walks(as_word(u1), as_word(u2), as_word(u3))
+    except NotIdempotent:
+        return False
+    except NotInPrefDomain:
+        pass
+    return True
 
 
 @dataclass(frozen=True)
@@ -205,38 +145,6 @@ def pump_predict(d: RunDecomposition, n: int) -> Word:
     return tuple(out)
 
 
-def _factor_traversals(t: TwoWayTransducer, run: FiniteRun, lo: int, hi: int):
-    """Maximal run factors whose head stays in tape cells [lo, hi)."""
-    travs = []
-    n = len(run.configs)
-    i = 0
-    while i < n:
-        state, pos = run.configs[i]
-        if not lo <= pos < hi:
-            i += 1
-            continue
-        entry_side = "L"
-        if i > 0:
-            entry_side = "L" if run.configs[i - 1][1] < lo else "R"
-        j = i
-        while j < n and lo <= run.configs[j][1] < hi:
-            j += 1
-        if j < n:
-            exit_state, exit_pos = run.configs[j]
-            exit_side = "R" if exit_pos >= hi else "L"
-        else:
-            exit_state, exit_side = run.exit_state, "R"
-        out = tuple(c for g in run.chunks[i:j] for c in g)
-        travs.append(Traversal(entry_side + exit_side, i, j, out,
-                               run.configs[i][0], exit_state))
-        i = j
-    return travs
-
-
-def _out(run: FiniteRun, i: int, j: int) -> Word:
-    return tuple(c for g in run.chunks[i:j] for c in g)
-
-
 def _loop_outputs(pis, segs2) -> List[Word]:
     """tr(C_1) .. tr(C_k): segment i of the run on u1 u2 u2 u3 less its
     suffix pi_i, the output one more copy of u2 adds to crossing i."""
@@ -251,38 +159,10 @@ def _loop_outputs(pis, segs2) -> List[Word]:
 
 def decompose(t: TwoWayTransducer, u1, u2, u3) -> RunDecomposition:
     """Pumping decomposition of the run on u1 u2 u3 around the
-    idempotent factor u2, aligned against the run on u1 u2 u2 u3."""
-    u1, u2, u3 = as_word(u1), as_word(u2), as_word(u3)
-    run1 = run_finite(t, u1 + u2 + u3)
-    run2 = run_finite(t, u1 + u2 + u2 + u3)
-    if u2 and not _idempotent_with_runs(t, u1, u2, run1, run2):
-        raise NotIdempotent(str(u2))
-    if run1.exit != "right_end" or run2.exit != "right_end":
-        raise NotInPrefDomain("run does not reach the right end")
-
-    lo = (0 if t.marked else 1) + len(u1)
-    travs1 = _factor_traversals(t, run1, lo, lo + len(u2))
-    if not u2:
-        return RunDecomposition((), (), (), (run1.output,), ())
-    travs2 = _factor_traversals(t, run2, lo, lo + 2 * len(u2))
-
-    # Idempotence aligns the crossings: the runs agree until they first
-    # enter the block, enter it alike, and (one copy exiting as two do)
-    # leave it alike, so by induction they cross it in the same order,
-    # with the same kinds and entry states.
-    cross1 = [tr for tr in travs1 if tr.kind in ("LR", "RL")]
-    cross2 = [tr for tr in travs2 if tr.kind in ("LR", "RL")]
-    anchors1 = [c.start for c in cross1]
-    anchors2 = [c.start for c in cross2]
-    k = len(cross1)
-    cuts1 = [0] + anchors1 + [len(run1.configs)]
-    cuts2 = [0] + anchors2 + [len(run2.configs)]
-    pis = [_out(run1, cuts1[i], cuts1[i + 1]) for i in range(k + 1)]
-    trs = _loop_outputs(pis, [_out(run2, cuts2[i], cuts2[i + 1])
-                              for i in range(len(cuts2) - 1)])
-    components = tuple((travs1.index(c),) for c in cross1)
-    return RunDecomposition(tuple(travs1), components, tuple(anchors1),
-                            tuple(pis), tuple(trs))
+    idempotent factor u2, aligned against the run on u1 u2 u2 u3
+    (see BlockSummaries.decompose)."""
+    return BlockSummaries(t).decompose(as_word(u1), as_word(u2),
+                                       as_word(u3))
 
 
 def _traverse(t: TwoWayTransducer, number: Dict, w: Word, leftmost: bool,
@@ -299,7 +179,7 @@ def _traverse(t: TwoWayTransducer, number: Dict, w: Word, leftmost: bool,
     while True:
         cfg = (pos, state)
         if cfg in seen:
-            return None, None, tuple(out), boundary, entry
+            return None, None, tuple(out), boundary, entry, len(seen)
         seen.add(cfg)
         if pos == 0:
             boundary |= 1 << 2 * number[state]
@@ -307,14 +187,19 @@ def _traverse(t: TwoWayTransducer, number: Dict, w: Word, leftmost: bool,
             boundary |= 2 << 2 * number[state]
         tr = t.delta.get((state, w[pos]))
         if tr is None or (leftmost and pos == 0 and tr[2] == -1):
-            return None, None, tuple(out), boundary, entry
+            return None, None, tuple(out), boundary, entry, len(seen)
         state, g, d = tr
         out.extend(g)
         pos += d
         if pos < 0:
-            return "L", state, tuple(out), boundary, entry
+            return "L", state, tuple(out), boundary, entry, len(seen)
         if pos > last:
-            return "R", state, tuple(out), boundary, entry
+            return "R", state, tuple(out), boundary, entry, len(seen)
+
+
+def _exit(v: Visit) -> Exit:
+    """The behavior entry of a visit."""
+    return (v[0], v[1], bool(v[2])) if v[0] else None
 
 
 class _Block(dict):
@@ -337,7 +222,7 @@ def _segments(visits, lo: int, hi: int) -> List[Word]:
     other (the run's start counts as a left entry)."""
     cuts = []
     start = entry = None
-    for k, (b, side, ex, _) in enumerate(visits):
+    for k, (b, side, _, ex, _, _, _) in enumerate(visits):
         if not lo <= b <= hi:
             continue
         if start is None:
@@ -347,28 +232,30 @@ def _segments(visits, lo: int, hi: int) -> List[Word]:
                 cuts.append(start)
             start = None
     ends = [0] + cuts + [len(visits)]
-    return [tuple(chain.from_iterable(v[3] for v in visits[i:j]))
+    return [tuple(chain.from_iterable(v[5] for v in visits[i:j]))
             for i, j in zip(ends, ends[1:])]
 
 
 class BlockSummaries:
-    """rho of t, read off per-block traversal summaries.
+    """The runs of t on u1 u2 u3 and u1 u2 u2 u3, read off per-block
+    traversal summaries: rho, decompose and the idempotence check.
 
-    The tapes of rho(u1, u2, u3) are made of the blocks ^u1 (u1 on a
-    marked tape), u2 and u3.  Each block word is simulated once per
-    entry cell, entry state and whether it is the leftmost block (where
-    a left exit blocks), and the visit's exit side, exit state, output
-    and boundary-cell configurations are kept; the configurations find
-    the loops of a run at the step run_finite finds them.  The
-    behaviors of u2 and u2 u2, for the idempotence check, are kept per
-    u2.  One instance serves the rho calls of one search, whose
-    triples share these blocks; it holds nothing beyond that search."""
+    The tapes are made of the blocks ^u1 (u1 on a marked tape), u2 and
+    u3.  Each block word is simulated once per entry cell, entry state
+    and whether it is the leftmost block (where a left exit blocks),
+    and the visit's exit side, exit state, output, boundary-cell
+    configurations and step count are kept.  The configurations find
+    the loops of a run at the step run_finite finds them; the step
+    counts give run_finite's indices.  The idempotence check compares
+    the visits to the blocks u2 and u2 u2, kept per u2.  One instance
+    serves the calls of one search, whose triples share these blocks;
+    it holds nothing beyond that search."""
 
     def __init__(self, t: TwoWayTransducer):
         self.t = t
         self._number = {q: i for i, q in enumerate(t.states)}
         self._blocks: Dict[Tuple[Word, bool], _Block] = {}
-        self._loops: Dict[Word, Tuple[Behavior, Behavior]] = {}
+        self._loops: Dict[Word, Tuple[_Block, _Block]] = {}
 
     def _block(self, w: Word, leftmost: bool) -> _Block:
         b = self._blocks.get((w, leftmost))
@@ -382,7 +269,8 @@ class BlockSummaries:
         words, one visit at a time.  Returns whether the run leaves the
         tape to the right, the crossings of each block border (border i
         lies left of block i, the last one is the tape's right end)
-        and the visits as (block, entry side, exit side, output)."""
+        and the visits as (block, entry side, entry state, exit side,
+        exit state, output, steps)."""
         blocks = [self._block(w, i == 0) for i, w in enumerate(words)]
         cross = [[] for _ in range(len(blocks) + 1)]
         visits = []
@@ -392,7 +280,7 @@ class BlockSummaries:
         last = len(blocks) - 1
         b, side, q, border = 0, "L", self.t.initial, None
         while True:
-            ex, q, out, boundary, entry = blocks[b][side, q]
+            ex, q2, out, boundary, entry, steps = blocks[b][side, q]
             # A run meeting a configuration of an earlier visit follows
             # that visit to one of its boundary cells before it crosses
             # a border, so comparing boundary cells finds every loop in
@@ -403,7 +291,8 @@ class BlockSummaries:
                     cross[border].pop()
                 return False, cross, visits
             seen[b] |= boundary
-            visits.append((b, side, ex, out))
+            visits.append((b, side, q, ex, q2, out, steps))
+            q = q2
             if ex is None:
                 return False, cross, visits
             if ex == "R":
@@ -420,27 +309,37 @@ class BlockSummaries:
     def _stable(self, u2: Word, crossings) -> bool:
         """On each entry the copy borders name, one u2 exits as u2 u2
         does: compose(b, b) agrees with b where the run uses it."""
-        if u2 not in self._loops:
-            b = behavior(self.t, u2)
-            self._loops[u2] = (b, compose(b, b))
-        b, bb = self._loops[u2]
+        pair = self._loops.get(u2)
+        if pair is None:
+            pair = self._loops[u2] = (self._block(u2, False),
+                                      self._block(u2 + u2, False))
+        one, two = pair
         for d, q in set(crossings):
-            if d == "R":
-                if b.left_entry[q] != bb.left_entry[q]:
-                    return False
-            elif b.right_entry[q] != bb.right_entry[q]:
+            entry = ("L" if d == "R" else "R", q)
+            if _exit(one[entry]) != _exit(two[entry]):
                 return False
         return True
 
-    def rho(self, u1: Word, u2: Word, u3: Word) -> Word:
-        """rho(t, u1, u2, u3) from two walks over the blocks."""
+    def _walks(self, u1: Word, u2: Word, u3: Word):
+        """The index of the (first) u2 block and the visits of the walks
+        over ^u1 | u2 | u3 and ^u1 | u2 | u2 | u3 (None when u2 is
+        empty).  NotIdempotent is raised when the first walk's two copy
+        borders differ, or when one copy of u2 does not exit as two do
+        on an entry they name, before the second walk starts, whose
+        three copy borders must match them too; NotInPrefDomain after
+        that, when a run does not reach the right end.
+
+        Idempotence aligns the crossings: the runs agree until they
+        first enter u2, enter it alike, and (one copy exiting as two
+        do) leave it alike, so by induction they cross it in the same
+        order, with the same kinds and entry states."""
         first = u1 if self.t.marked else (ENDMARKER,) + u1
-        i = 1 if first else 0  # index of the (first) u2 block
+        i = 1 if first else 0
         ends, cross, visits = self._walk([w for w in (first, u2, u3) if w])
         if not u2:
             if not ends:
                 raise NotInPrefDomain("run does not reach the right end")
-            return tuple(chain.from_iterable(v[3] for v in visits))
+            return i, visits, None
         border = cross[i]
         if cross[i + 1] != border or not self._stable(u2, border):
             raise NotIdempotent(str(u2))
@@ -450,6 +349,14 @@ class BlockSummaries:
             raise NotIdempotent(str(u2))
         if not (ends and ends2):
             raise NotInPrefDomain("run does not reach the right end")
+        return i, visits, visits2
+
+    def rho(self, u1: Word, u2: Word, u3: Word) -> Word:
+        """rho(t, u1, u2, u3): the pi and tr segments are cut at the
+        crossing visits of u2 (of u2 u2 in the second walk)."""
+        i, visits, visits2 = self._walks(u1, u2, u3)
+        if visits2 is None:
+            return tuple(chain.from_iterable(v[5] for v in visits))
         pis = _segments(visits, i, i)
         out = list(pis[0])
         for tr, pi in zip(_loop_outputs(pis, _segments(visits2, i, i + 1)),
@@ -459,18 +366,33 @@ class BlockSummaries:
             out.extend(pi)
         return tuple(out)
 
+    def decompose(self, u1: Word, u2: Word, u3: Word) -> RunDecomposition:
+        """decompose(t, u1, u2, u3): the traversals are the first walk's
+        visits to u2, and a run index counts the steps the run takes
+        before it."""
+        i, visits, visits2 = self._walks(u1, u2, u3)
+        if visits2 is None:
+            out = tuple(chain.from_iterable(v[5] for v in visits))
+            return RunDecomposition((), (), (), (out,), ())
+        travs = []
+        start = 0
+        for b, side, q, ex, q2, out, steps in visits:
+            if b == i:
+                travs.append(Traversal(side + ex, start, start + steps, out,
+                                       q, q2))
+            start += steps
+        pis = _segments(visits, i, i)
+        trs = _loop_outputs(pis, _segments(visits2, i, i + 1))
+        crossing = [k for k, tr in enumerate(travs)
+                    if tr.kind in ("LR", "RL")]
+        return RunDecomposition(tuple(travs), tuple((k,) for k in crossing),
+                                tuple(travs[k].start for k in crossing),
+                                tuple(pis), tuple(trs))
+
 
 def rho(t: TwoWayTransducer, u1, u2, u3) -> Word:
     """Iteration-stable output prefix: the run's output up to the first
     anchor whose component emits when pumped, or the whole output when
-    no component does.
-
-    Read off block summaries (see BlockSummaries) rather than
-    decompose's runs.  The walk over ^u1 | u2 | u3 gives the two copy
-    borders; NotIdempotent is raised when they differ, or when one copy
-    of u2 does not exit as two do on an entry they name, before the
-    walk over ^u1 | u2 | u2 | u3 starts, whose three copy borders must
-    match them too.  The pi and tr segments are cut at the crossing
-    visits of u2 (of u2 u2 in the second walk).  Values and exceptions
-    are those of decompose, which scans whole runs."""
+    no component does.  Values and exceptions are those of decompose,
+    read off the same two block walks (see BlockSummaries)."""
     return BlockSummaries(t).rho(as_word(u1), as_word(u2), as_word(u3))

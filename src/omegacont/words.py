@@ -66,17 +66,6 @@ class UPWord:
         k = max(0, -(-(n - len(self.prefix)) // len(self.period)))
         return (self.prefix + self.period * k)[:max(n, 0)]
 
-    def position_after(self, i: int) -> int:
-        """Canonical position index reached after reading i symbols.
-
-        Positions 0..p+q-1 name the distinct suffix start points:
-        0..p-1 inside the prefix, p..p+q-1 inside the period.
-        """
-        p, q = len(self.prefix), len(self.period)
-        if i < p:
-            return i
-        return p + (i - p) % q
-
     def __str__(self) -> str:
         pre = "".join(map(str, self.prefix))
         per = "".join(map(str, self.period))
@@ -148,8 +137,3 @@ def mismatch(u: Sequence, w: Sequence) -> int | None:
     if i < len(u) and i < len(w):
         return i
     return None
-
-
-def is_prefix(u: Sequence, w: Sequence) -> bool:
-    u, w = as_word(u), as_word(w)
-    return len(u) <= len(w) and w[:len(u)] == u

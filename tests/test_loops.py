@@ -48,7 +48,6 @@ class TestBehavior:
     def test_block_doubler_rewind_block(self):
         b = behavior(block_doubler(), "c#")
         assert b.left_entry["s1"] == ("L", "back", True)
-        assert b.produces
 
     def test_composition_law(self):
         rng = random.Random(7)

@@ -1,14 +1,17 @@
-"""The one-scan idempotence check against the behavior-table check.
+"""decompose and is_idempotent against whole-run scans, and behavior
+against direct simulation.
 
-is_idempotent and decompose read the copy borders of the runs on
-u1 u2 u3 and u1 u2 u2 u3 in one scan and simulate only the entries
-those borders name.  The reference functions below keep the former
-route: the crossing sequence of each border from its own scan of the
-run, the behaviors of u2 and of u2 u2 (through compose) compared on
-every traversal entry, and, in decompose, the alignment check that the
-crossings of both runs agree.  Both routes must give the same answer,
-the same decomposition or the same exception, and the alignment check
-must never fail once idempotence holds.
+loops reads every run off block walks (loops.BlockSummaries).  The
+reference functions below scan whole runs of run_finite instead
+(_factor_traversals, _out): the crossing sequence of each border from
+its own scan of the run, the behaviors of u2 and of u2 u2 (through
+compose) compared on every traversal entry, the traversals and run
+indices of decompose cut from the run's configs, and the alignment
+check that the crossings of both runs agree.  Both routes must give the same answer,
+the same decomposition, traversal indices included, or the same
+exception, and the alignment check must never fail once idempotence
+holds.  behavior must give, for every state and side, the exit that
+_simulate finds by stepping the machine over the factor.
 """
 
 import dataclasses
@@ -18,12 +21,65 @@ import random
 import pytest
 
 from omegacont.fixtures import block_doubler
-from omegacont.loops import (NotIdempotent, NotInPrefDomain,
-                             RunDecomposition, _factor_traversals, _out,
-                             behavior, compose, decompose, is_idempotent)
-from omegacont.twoway import ENDMARKER, FiniteRun, run_finite, two_way
-from omegacont.words import as_word
-from test_loops import random_two_way
+from omegacont.loops import (Exit, NotIdempotent, NotInPrefDomain,
+                             RunDecomposition, Traversal, behavior, compose,
+                             decompose, is_idempotent)
+from omegacont.twoway import (ENDMARKER, FiniteRun, TwoWayTransducer,
+                              run_finite, two_way)
+from omegacont.words import Word, as_word
+from test_loops import random_two_way, words_up_to
+
+
+def _simulate(t: TwoWayTransducer, w: Word, state, pos) -> Exit:
+    emitted = False
+    seen = set()
+    while True:
+        if pos < 0:
+            return ("L", state, emitted)
+        if pos >= len(w):
+            return ("R", state, emitted)
+        cfg = (state, pos)
+        if cfg in seen:
+            return None  # trapped
+        seen.add(cfg)
+        tr = t.delta.get((state, w[pos]))
+        if tr is None:
+            return None  # blocked: never exits either
+        state, g, d = tr
+        emitted = emitted or bool(g)
+        pos += d
+
+
+def _factor_traversals(t: TwoWayTransducer, run: FiniteRun, lo: int, hi: int):
+    """Maximal run factors whose head stays in tape cells [lo, hi)."""
+    travs = []
+    n = len(run.configs)
+    i = 0
+    while i < n:
+        state, pos = run.configs[i]
+        if not lo <= pos < hi:
+            i += 1
+            continue
+        entry_side = "L"
+        if i > 0:
+            entry_side = "L" if run.configs[i - 1][1] < lo else "R"
+        j = i
+        while j < n and lo <= run.configs[j][1] < hi:
+            j += 1
+        if j < n:
+            exit_state, exit_pos = run.configs[j]
+            exit_side = "R" if exit_pos >= hi else "L"
+        else:
+            exit_state, exit_side = run.exit_state, "R"
+        out = tuple(c for g in run.chunks[i:j] for c in g)
+        travs.append(Traversal(entry_side + exit_side, i, j, out,
+                               run.configs[i][0], exit_state))
+        i = j
+    return travs
+
+
+def _out(run: FiniteRun, i: int, j: int) -> Word:
+    return tuple(c for g in run.chunks[i:j] for c in g)
 
 
 def _border_crossings(run: FiniteRun, p: int):
@@ -182,3 +238,16 @@ def test_random_two_way_matches_reference(marked):
             t = dataclasses.replace(t, marked=True)
         idempotent += _check(t, "ab")
     assert idempotent > 0
+
+
+def test_behavior_matches_simulation():
+    checked = 0
+    for t in [block_doubler()] + _random_machines():
+        for w in words_up_to(sorted(t.alphabet), 3):
+            b = behavior(t, w)
+            assert b.left_entry == {q: _simulate(t, w, q, 0)
+                                    for q in t.states}, w
+            assert b.right_entry == {q: _simulate(t, w, q, len(w) - 1)
+                                     for q in t.states}, w
+            checked += 1
+    assert checked == 156 + 50 * 15

@@ -1,10 +1,11 @@
-"""rho read off block summaries against the decompose-based rho.
+"""rho read off block walks against rho off a whole-run decompose.
 
 loops.rho walks per-block traversal summaries (loops.BlockSummaries)
 instead of running the machine on whole tapes.  The reference below is
-rho as it read before: the pi and tr segments of decompose, which scans
-the runs on u1 u2 u3 and u1 u2 u2 u3.  Both must give the same value,
-or raise the same exception with the same message, on every triple.
+rho as it read before: the pi and tr segments of the reference
+decompose of test_loops_reference, which scans the runs of run_finite
+on u1 u2 u3 and u1 u2 u2 u3.  Both must give the same value, or raise
+the same exception with the same message, on every triple.
 
 _reached names, from those runs, the cases a block walk can get wrong,
 and each test asserts that its triples reach the ones it is there for:
@@ -25,16 +26,16 @@ from omegacont.continuity_regular import SearchBounds, _AnnotatedSpace
 from omegacont.fixtures import (block_doubler, prefix_doubler_2way,
                                 stem_doubler, tail_classifier_2way)
 from omegacont.loops import (BlockSummaries, NotIdempotent, NotInPrefDomain,
-                             decompose, rho)
+                             rho)
 from omegacont.twoway import ENDMARKER, run_finite, tape_of
 from test_loops import random_two_way
-from test_loops_reference import _detour
+from test_loops_reference import _detour, _reference_decompose
 
 
 def _reference_rho(t, u1, u2, u3):
     """rho off decompose: pi_0 .. pi_i up to the first component whose
     tr output is non-empty."""
-    d = decompose(t, u1, u2, u3)
+    d = _reference_decompose(t, u1, u2, u3)
     out = list(d.pi_outputs[0])
     for i, tr in enumerate(d.tr_outputs):
         if tr:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from omegacont.words import (
-    UPWord, as_word, is_prefix, lcp, mismatch, primitive_root,
+    UPWord, as_word, lcp, mismatch, primitive_root,
     up_equal, up_lcp, up_normalize, up_word, words_up_to,
 )
 
@@ -72,10 +72,6 @@ class TestIndexing:
         assert x.take(7) == as_word("abcdcdc")
         with pytest.raises(IndexError):
             x[-1]
-
-    def test_position_after(self):
-        x = up_word("ab", "cd")
-        assert [x.position_after(i) for i in range(7)] == [0, 1, 2, 3, 2, 3, 2]
 
     def test_str(self):
         assert str(up_word("ab", "baba")) == "ab(ba)"
@@ -146,9 +142,3 @@ class TestFiniteHelpers:
         assert mismatch("ab", "abc") is None
         assert mismatch("", "x") is None
         assert mismatch("xa", "ya") == 0
-
-    def test_is_prefix(self):
-        assert is_prefix("ab", "abc")
-        assert is_prefix("", "abc")
-        assert not is_prefix("abc", "ab")
-        assert not is_prefix("ax", "abc")
