@@ -120,11 +120,17 @@ class _PlainSpace:
                           Output)
 
     def groups(self, bounds: SearchBounds):
+        # (u1, u2) is kept when no automorphism maps it below itself:
+        # none maps u1 below u1, and none of u1's stabiliser maps u2
+        # below u2
         pairs = []
         for u1 in words_up_to(self.letters, 0, bounds.max_len_u1):
+            images = [(_apply(m, u1), m) for m in self.autos]
+            if any(v < u1 for v, _ in images):
+                continue
+            fixing = [m for v, m in images if v == u1]
             for u2 in words_up_to(self.letters, 1, bounds.max_len_u2):
-                if not any((_apply(m, u1), _apply(m, u2)) < (u1, u2)
-                           for m in self.autos):
+                if not any(_apply(m, u2) < u2 for m in fixing):
                     pairs.append((u1, u2))
         pairs.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
         for pair in pairs:

@@ -17,17 +17,16 @@ of the two runs must carry the same crossing sequence, and one copy
 must exit as two do on each entry that sequence names.
 
 There is one model of a run here, block summaries (BlockSummaries):
-the blocks ^u1, u2 and u3 are each simulated once per entry, and the
-runs are walked block by block, so a search over many triples sharing
-these blocks does not re-simulate whole tapes.  rho, decompose and
-is_idempotent read these walks, and behavior the same per-entry
-simulation of one block.
+the blocks ^u1, u2 and u3 are each simulated once per entry, the runs
+are walked block by block, and the walk up to u3 is resumed for each
+u3, so a search over triples sharing these blocks does not re-simulate
+whole tapes.  rho, decompose and is_idempotent read these walks, and
+behavior the same per-entry simulation of one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .twoway import ENDMARKER, TwoWayTransducer
@@ -216,24 +215,10 @@ class _Block(dict):
         return v
 
 
-def _segments(visits, lo: int, hi: int) -> List[Word]:
-    """Outputs pi_0 .. pi_k of a walk, cut at the start of each crossing
-    traversal of blocks lo..hi: one entered on one side and left on the
-    other (the run's start counts as a left entry)."""
-    cuts = []
-    start = entry = None
-    for k, (b, side, _, ex, _, _, _) in enumerate(visits):
-        if not lo <= b <= hi:
-            continue
-        if start is None:
-            start, entry = k, side
-        if (ex == "R" and b == hi) or (ex == "L" and b == lo):
-            if ex != entry:
-                cuts.append(start)
-            start = None
-    ends = [0] + cuts + [len(visits)]
-    return [tuple(chain.from_iterable(v[5] for v in visits[i:j]))
-            for i, j in zip(ends, ends[1:])]
+def _pieces(out: List, cuts: List[int]) -> List[Word]:
+    """The output of a walk cut into pi_0 .. pi_k at its cut points."""
+    ends = [0] + cuts + [len(out)]
+    return [tuple(out[i:j]) for i, j in zip(ends, ends[1:])]
 
 
 class BlockSummaries:
@@ -246,16 +231,18 @@ class BlockSummaries:
     and the visit's exit side, exit state, output, boundary-cell
     configurations and step count are kept.  The configurations find
     the loops of a run at the step run_finite finds them; the step
-    counts give run_finite's indices.  The idempotence check compares
-    the visits to the blocks u2 and u2 u2, kept per u2.  One instance
-    serves the calls of one search, whose triples share these blocks;
-    it holds nothing beyond that search."""
+    counts give run_finite's indices.  A run does not depend on u3
+    before it first enters u3, so each walk stops there and every u3
+    resumes it.  The instance keeps one such walk per tape length, as a
+    search asks for all u3s of one (u1, u2) in a row, and holds nothing
+    beyond the search it serves."""
 
     def __init__(self, t: TwoWayTransducer):
         self.t = t
         self._number = {q: i for i, q in enumerate(t.states)}
         self._blocks: Dict[Tuple[Word, bool], _Block] = {}
-        self._loops: Dict[Word, Tuple[_Block, _Block]] = {}
+        self._stables: Dict[Tuple[Word, tuple], bool] = {}
+        self._slots: Dict[int, tuple] = {}
 
     def _block(self, w: Word, leftmost: bool) -> _Block:
         b = self._blocks.get((w, leftmost))
@@ -264,23 +251,40 @@ class BlockSummaries:
                                                      w, leftmost)
         return b
 
-    def _walk(self, words):
-        """Follow the run of t on the tape made of the non-empty blocks
-        words, one visit at a time.  Returns whether the run leaves the
-        tape to the right, the crossings of each block border (border i
-        lies left of block i, the last one is the tape's right end)
-        and the visits as (block, entry side, entry state, exit side,
-        exit state, output, steps)."""
-        blocks = [self._block(w, i == 0) for i, w in enumerate(words)]
-        cross = [[] for _ in range(len(blocks) + 1)]
-        visits = []
-        if not blocks:
-            return True, cross, visits
-        seen = [0] * len(blocks)
-        last = len(blocks) - 1
-        b, side, q, border = 0, "L", self.t.initial, None
+    def _walk(self, words, copies: int, walk=None):
+        """Follow the run of t one visit at a time on the tape of the
+        non-empty blocks words, from its start; or, given walk (one that
+        left its tape to the right), on that tape and the block words[0],
+        from the entry into it.  The output is cut at the start of each
+        crossing traversal (entered on one side, left on the other) of
+        the u2 copies: the last copies blocks of words, or of walk's
+        tape.  A run starts in a copy only on a marked tape with u1
+        empty, where equal copy borders keep it in the first copy: it
+        has no value to cut.  A walk is whether the run leaves the tape
+        to the right, its last state, the blocks, the boundary-cell
+        configurations met per block, the crossings of each border
+        (border i lies left of block i, the last one is the tape's right
+        end), the visits as (block, entry side, entry state, exit side,
+        exit state, output, steps), the output and its cut points."""
+        if walk is None:
+            blocks = [self._block(w, i == 0) for i, w in enumerate(words)]
+            b = border = 0
+            q, hi = self.t.initial, len(blocks) - 1
+            seen, cross = [0] * len(blocks), [[] for _ in range(hi + 2)]
+            visits, out, cuts = [], [], []
+            if not blocks:
+                return True, q, blocks, seen, cross, visits, out, cuts
+        else:
+            _, q, blocks, seen, cross, visits, out, cuts = walk
+            b = border = len(blocks)
+            hi = b - 1
+            blocks = blocks + [self._block(words[0], not blocks)]
+            seen, cross = seen + [0], [c[:] for c in cross] + [[]]
+            visits, out, cuts = visits[:], out[:], cuts[:]
+        side, last = "L", len(blocks) - 1
+        lo, start = hi + 1 - copies, None
         while True:
-            ex, q2, out, boundary, entry, steps = blocks[b][side, q]
+            ex, q2, o, boundary, entry, steps = blocks[b][side, q]
             # A run meeting a configuration of an earlier visit follows
             # that visit to one of its boundary cells before it crosses
             # a border, so comparing boundary cells finds every loop in
@@ -289,16 +293,23 @@ class BlockSummaries:
                 if seen[b] & entry:
                     # the step into a repeated configuration is not run
                     cross[border].pop()
-                return False, cross, visits
+                return False, q, blocks, seen, cross, visits, out, cuts
             seen[b] |= boundary
-            visits.append((b, side, q, ex, q2, out, steps))
+            visits.append((b, side, q, ex, q2, o, steps))
+            if start is None and lo <= b <= hi:
+                start, entered = len(out), side
+            out.extend(o)
             q = q2
             if ex is None:
-                return False, cross, visits
+                return False, q, blocks, seen, cross, visits, out, cuts
+            if start is not None and b == (hi if ex == "R" else lo):
+                if ex != entered:
+                    cuts.append(start)
+                start = None
             if ex == "R":
                 if b == last:
                     cross[-1].append(("R", q))
-                    return True, cross, visits
+                    return True, q, blocks, seen, cross, visits, out, cuts
                 b, side = b + 1, "L"
                 border = b
             else:
@@ -306,74 +317,84 @@ class BlockSummaries:
                 b, side = b - 1, "R"
             cross[border].append((ex, q))
 
+    def _resumed(self, words, copies: int, u3: Word):
+        """The walk over words | u3, resumed from the walk over words,
+        which is kept, keyed by its words alone: x | x is walked with
+        one copy for (x, x, u3) and two for ((), x, u3) on a marked
+        tape, but the second only when the run on x | u3 stays in x,
+        and then neither walk on x | x leaves x or has a cut."""
+        slot = self._slots.get(len(words))
+        if slot is None or slot[0] != words:
+            slot = self._slots[len(words)] = words, self._walk(words,
+                                                               copies)
+        walk = slot[1]
+        if u3 and walk[0]:
+            return self._walk((u3,), copies, walk)
+        return walk
+
     def _stable(self, u2: Word, crossings) -> bool:
         """On each entry the copy borders name, one u2 exits as u2 u2
-        does: compose(b, b) agrees with b where the run uses it."""
-        pair = self._loops.get(u2)
-        if pair is None:
-            pair = self._loops[u2] = (self._block(u2, False),
-                                      self._block(u2 + u2, False))
-        one, two = pair
-        for d, q in set(crossings):
-            entry = ("L" if d == "R" else "R", q)
-            if _exit(one[entry]) != _exit(two[entry]):
-                return False
-        return True
+        does: compose(b, b) agrees with b where the run uses it.  Kept
+        per u2 and crossing sequence."""
+        key = (u2, tuple(crossings))
+        if key not in self._stables:
+            one, two = self._block(u2, False), self._block(u2 + u2, False)
+            entries = {("L" if d == "R" else "R", q) for d, q in crossings}
+            self._stables[key] = all(_exit(one[e]) == _exit(two[e])
+                                     for e in entries)
+        return self._stables[key]
 
     def _walks(self, u1: Word, u2: Word, u3: Word):
-        """The index of the (first) u2 block and the visits of the walks
-        over ^u1 | u2 | u3 and ^u1 | u2 | u2 | u3 (None when u2 is
-        empty).  NotIdempotent is raised when the first walk's two copy
-        borders differ, or when one copy of u2 does not exit as two do
-        on an entry they name, before the second walk starts, whose
-        three copy borders must match them too; NotInPrefDomain after
-        that, when a run does not reach the right end.
-
+        """The index of the (first) u2 block, the visits of the walk
+        over ^u1 | u2 | u3 and the pi segments of the walks over
+        ^u1 | u2 | u3 and ^u1 | u2 | u2 | u3 (its output and None when
+        u2 is empty).  NotIdempotent is raised when the first walk's
+        copy borders differ or one u2 does not exit as two do on an
+        entry they name, before the second walk starts, or when the
+        second walk's three copy borders do not all match them; then
+        NotInPrefDomain, when a run does not reach the right end.
         Idempotence aligns the crossings: the runs agree until they
         first enter u2, enter it alike, and (one copy exiting as two
         do) leave it alike, so by induction they cross it in the same
         order, with the same kinds and entry states."""
         first = u1 if self.t.marked else (ENDMARKER,) + u1
         i = 1 if first else 0
-        ends, cross, visits = self._walk([w for w in (first, u2, u3) if w])
+        head = tuple(filter(None, (first, u2)))
+        ends, _, _, _, cross, visits, out, cuts = self._resumed(head, 1, u3)
         if not u2:
             if not ends:
                 raise NotInPrefDomain("run does not reach the right end")
-            return i, visits, None
+            return i, visits, [tuple(out)], None
         border = cross[i]
         if cross[i + 1] != border or not self._stable(u2, border):
             raise NotIdempotent(str(u2))
-        ends2, cross2, visits2 = self._walk(
-            [w for w in (first, u2, u2, u3) if w])
-        if any(c != border for c in cross2[i:i + 3]):
+        ends2, _, _, _, cross2, _, out2, cuts2 = self._resumed(head + (u2,),
+                                                               2, u3)
+        if cross2[i:i + 3] != [border] * 3:
             raise NotIdempotent(str(u2))
         if not (ends and ends2):
             raise NotInPrefDomain("run does not reach the right end")
-        return i, visits, visits2
+        return i, visits, _pieces(out, cuts), _pieces(out2, cuts2)
 
     def rho(self, u1: Word, u2: Word, u3: Word) -> Word:
         """rho(t, u1, u2, u3): the pi and tr segments are cut at the
         crossing visits of u2 (of u2 u2 in the second walk)."""
-        i, visits, visits2 = self._walks(u1, u2, u3)
-        if visits2 is None:
-            return tuple(chain.from_iterable(v[5] for v in visits))
-        pis = _segments(visits, i, i)
+        _, _, pis, segs2 = self._walks(u1, u2, u3)
         out = list(pis[0])
-        for tr, pi in zip(_loop_outputs(pis, _segments(visits2, i, i + 1)),
-                          pis[1:]):
-            if tr:
-                break
-            out.extend(pi)
+        if segs2 is not None:
+            for tr, pi in zip(_loop_outputs(pis, segs2), pis[1:]):
+                if tr:
+                    break
+                out.extend(pi)
         return tuple(out)
 
     def decompose(self, u1: Word, u2: Word, u3: Word) -> RunDecomposition:
         """decompose(t, u1, u2, u3): the traversals are the first walk's
         visits to u2, and a run index counts the steps the run takes
         before it."""
-        i, visits, visits2 = self._walks(u1, u2, u3)
-        if visits2 is None:
-            out = tuple(chain.from_iterable(v[5] for v in visits))
-            return RunDecomposition((), (), (), (out,), ())
+        i, visits, pis, segs2 = self._walks(u1, u2, u3)
+        if segs2 is None:
+            return RunDecomposition((), (), (), tuple(pis), ())
         travs = []
         start = 0
         for b, side, q, ex, q2, out, steps in visits:
@@ -381,8 +402,7 @@ class BlockSummaries:
                 travs.append(Traversal(side + ex, start, start + steps, out,
                                        q, q2))
             start += steps
-        pis = _segments(visits, i, i)
-        trs = _loop_outputs(pis, _segments(visits2, i, i + 1))
+        trs = _loop_outputs(pis, segs2)
         crossing = [k for k, tr in enumerate(travs)
                     if tr.kind in ("LR", "RL")]
         return RunDecomposition(tuple(travs), tuple((k,) for k in crossing),

@@ -33,6 +33,32 @@ class TestCheck:
         assert code == 1
         assert "not continuous" in out
 
+    # stdout and exit code of the witness search at the default bounds,
+    # byte for byte
+    @pytest.mark.parametrize("name,cmd,want", [
+        ("dbl", "check-cont", (2, "no witness up to bounds 3,3,3\n")),
+        ("dbl", "check-ucont", (1, "not continuous\n  u1 = _\n  u2 = #\n"
+                                   "  u3 = #a / u3' = #b\n"
+                                   "  mismatch at position 0 (ucont)\n")),
+        ("j", "check-cont", (1, "not continuous\n  u1 = ^ab\n  u2 = bb\n"
+                                "  u3 = a / u3' = b\n"
+                                "  mismatch at position 0 (cont)\n")),
+        ("j", "check-ucont", (1, "not continuous\n  u1 = ^ab\n  u2 = bb\n"
+                                 "  u3 = a / u3' = b\n"
+                                 "  mismatch at position 0 (ucont)\n")),
+        ("f_inf", "check-cont", (1, "not continuous\n  u1 = ^a\n  u2 = aa\n"
+                                    "  u3 = a / u3' = a\n"
+                                    "  mismatch at position 0 (cont)\n")),
+        ("f_inf", "check-ucont", (1, "not continuous\n  u1 = ^a\n"
+                                     "  u2 = aa\n  u3 = a / u3' = a\n"
+                                     "  mismatch at position 0 (ucont)\n")),
+        ("t_c_2way", "check-cont", (2, "no witness up to bounds 3,3,3\n")),
+        ("t_c_2way", "check-ucont", (2, "no witness up to bounds 3,3,3\n")),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_two_way_output_pinned(self, name, cmd, want, capsys):
+        code, out, _ = run(capsys, cmd, fixture_path(name))
+        assert (code, out) == want
+
     def test_acceptor_rejected(self, capsys, tmp_path):
         p = tmp_path / "acc.txt"
         p.write_text("type: buchi\nalphabet: a\nstates: q\n"
@@ -150,6 +176,25 @@ class TestNotFunctional:
                      f'trans: p a p "{outputs[0]}"\n'
                      f'trans: q a q "{outputs[1]}"\n')
         assert run(capsys, "eval", str(p), "(a)") == (0, "(x)\n", "")
+
+
+class TestNotProphetic:
+    # f_inf's look-ahead with A8 a A8 replaced by B7 a A8: the word a^omega
+    # then fits both A8 and B7 after its first letter
+    @pytest.mark.parametrize("argv", [
+        ("eval", "(a)"), ("check-cont",), ("check-ucont",), ("stream",)],
+        ids=lambda argv: argv[0])
+    def test_exits_65(self, argv, capsys, monkeypatch, tmp_path):
+        with open(fixture_path("f_inf"), encoding="utf-8") as f:
+            text = f.read()
+        assert "trans: A8 a A8\n" in text
+        p = tmp_path / "not_prophetic.txt"
+        p.write_text(text.replace("trans: A8 a A8\n", "trans: B7 a A8\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO("a"))
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert (code, out, err) == (
+            65, "", "error: look-ahead is not prophetic: a(a): "
+            "['A8', 'B7']\n")
 
 
 class TestWitness:

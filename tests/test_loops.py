@@ -1,12 +1,14 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from omegacont import loops
 from omegacont.fixtures import ENDMARKER, block_doubler
 from omegacont.loops import (
-    NotIdempotent, Behavior, behavior, compose, decompose,
-    is_idempotent, pump_predict, rho,
+    BlockSummaries, NotIdempotent, NotInPrefDomain, Behavior, behavior,
+    compose, decompose, is_idempotent, pump_predict, rho,
 )
 from omegacont.twoway import run_finite, two_way
 from omegacont.words import as_word
@@ -193,3 +195,58 @@ class TestRho:
                 pumped_gain = len(run_finite(t, u1 + u2 + u2 + u3).output) \
                     - len(run_finite(t, u1 + u2 + u3).output)
                 assert d.producing == (pumped_gain > 0), (u1, u2, u3)
+
+
+class TestCallOrder:
+    """A BlockSummaries keeps one prefix walk per tape length and
+    resumes it for every u3: its answers must not depend on the order
+    of the calls."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (NotIdempotent, NotInPrefDomain, RuntimeError) as e:
+            return type(e), str(e)
+
+    def _check(self, t, rng):
+        """rho and decompose on every triple up to (2, 2, 2), shuffled
+        and interleaved on one instance, against one-shot instances."""
+        words = list(words_up_to(sorted(t.alphabet), 2))
+        calls = [(fn, (u1, u2, u3)) for u1 in words for u2 in words
+                 for u3 in words for fn in ("rho", "decompose")]
+        rng.shuffle(calls)
+        # Runs of calls whose prefix tapes hold the same words.  On a
+        # marked tape ((), x, u3) walks the tapes x and x | x, (x, (), u3)
+        # the tape x, and (x, x, u3) the tapes x | x and x | x | x.
+        for x in words[1:]:
+            for fn in ("rho", "decompose"):
+                u3s = rng.sample(words, 4)
+                calls += [(fn, ((), x, u3s[0])), (fn, (x, (), u3s[1])),
+                          (fn, (x, x, u3s[2])), (fn, ((), x, u3s[3]))]
+        shared = BlockSummaries(t)
+        kinds = set()
+        for fn, triple in calls:
+            want = self._outcome(getattr(loops, fn), t, *triple)
+            got = self._outcome(getattr(shared, fn), *triple)
+            assert got == want, (fn, triple)
+            raised = isinstance(want, tuple) and len(want) == 2 and \
+                isinstance(want[0], type)
+            kinds.add(want[0].__name__ if raised else "value")
+        return kinds
+
+    def test_block_doubler(self):
+        # every run on a block doubler tape reaches the right end
+        kinds = self._check(block_doubler(), random.Random(3))
+        assert kinds == {"value", "NotIdempotent"}
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_random_two_way(self, marked):
+        rng = random.Random(7)
+        kinds = set()
+        for _ in range(20):
+            t = random_two_way(rng)
+            if marked:
+                t = dataclasses.replace(t, marked=True)
+            kinds |= self._check(t, rng)
+        assert kinds == {"value", "NotIdempotent", "NotInPrefDomain"}
