@@ -261,11 +261,12 @@ class BlockSummaries:
         tape.  A run starts in a copy only on a marked tape with u1
         empty, where equal copy borders keep it in the first copy: it
         has no value to cut.  A walk is whether the run leaves the tape
-        to the right, its last state, the blocks, the boundary-cell
-        configurations met per block, the crossings of each border
-        (border i lies left of block i, the last one is the tape's right
-        end), the visits as (block, entry side, entry state, exit side,
-        exit state, output, steps), the output and its cut points."""
+        to the right, the crossings of each border (border i lies left
+        of block i, the last one is the tape's right end), the visits as
+        (block, entry side, entry state, exit side, exit state, output,
+        steps), the output, its cut points, and what resuming needs: the
+        last state, the blocks and the boundary-cell configurations met
+        per block."""
         if walk is None:
             blocks = [self._block(w, i == 0) for i, w in enumerate(words)]
             b = border = 0
@@ -273,9 +274,9 @@ class BlockSummaries:
             seen, cross = [0] * len(blocks), [[] for _ in range(hi + 2)]
             visits, out, cuts = [], [], []
             if not blocks:
-                return True, q, blocks, seen, cross, visits, out, cuts
+                return True, cross, visits, out, cuts, q, blocks, seen
         else:
-            _, q, blocks, seen, cross, visits, out, cuts = walk
+            _, cross, visits, out, cuts, q, blocks, seen = walk
             b = border = len(blocks)
             hi = b - 1
             blocks = blocks + [self._block(words[0], not blocks)]
@@ -293,7 +294,7 @@ class BlockSummaries:
                 if seen[b] & entry:
                     # the step into a repeated configuration is not run
                     cross[border].pop()
-                return False, q, blocks, seen, cross, visits, out, cuts
+                return False, cross, visits, out, cuts, q, blocks, seen
             seen[b] |= boundary
             visits.append((b, side, q, ex, q2, o, steps))
             if start is None and lo <= b <= hi:
@@ -301,7 +302,7 @@ class BlockSummaries:
             out.extend(o)
             q = q2
             if ex is None:
-                return False, q, blocks, seen, cross, visits, out, cuts
+                return False, cross, visits, out, cuts, q, blocks, seen
             if start is not None and b == (hi if ex == "R" else lo):
                 if ex != entered:
                     cuts.append(start)
@@ -309,7 +310,7 @@ class BlockSummaries:
             if ex == "R":
                 if b == last:
                     cross[-1].append(("R", q))
-                    return True, q, blocks, seen, cross, visits, out, cuts
+                    return True, cross, visits, out, cuts, q, blocks, seen
                 b, side = b + 1, "L"
                 border = b
             else:
@@ -360,7 +361,7 @@ class BlockSummaries:
         first = u1 if self.t.marked else (ENDMARKER,) + u1
         i = 1 if first else 0
         head = tuple(filter(None, (first, u2)))
-        ends, _, _, _, cross, visits, out, cuts = self._resumed(head, 1, u3)
+        ends, cross, visits, out, cuts = self._resumed(head, 1, u3)[:5]
         if not u2:
             if not ends:
                 raise NotInPrefDomain("run does not reach the right end")
@@ -368,8 +369,8 @@ class BlockSummaries:
         border = cross[i]
         if cross[i + 1] != border or not self._stable(u2, border):
             raise NotIdempotent(str(u2))
-        ends2, _, _, _, cross2, _, out2, cuts2 = self._resumed(head + (u2,),
-                                                               2, u3)
+        ends2, cross2, _, out2, cuts2 = self._resumed(head + (u2,), 2,
+                                                      u3)[:5]
         if cross2[i:i + 3] != [border] * 3:
             raise NotIdempotent(str(u2))
         if not (ends and ends2):
