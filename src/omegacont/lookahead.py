@@ -31,28 +31,38 @@ def good_annotation(p: BuchiAutomaton, x: UPWord) -> UPWord:
     the suffix from that position.
 
     x is the full (endmarked, if applicable) word; the result has the
-    same prefix/period shape with (symbol, state) pairs.
+    same prefix/period shape with (symbol, state) pairs.  A state
+    accepts a y exactly when one of its a-successors accepts y, so once
+    the states accepting the suffix after the period's last letter (the
+    period again) are known, each position's states are the
+    predecessors of the next position's, found backwards.  NoState or
+    MultipleStates names the first position without exactly one state.
     """
     pre, per = x.prefix, x.period
-    n = len(pre) + len(per)
 
-    def suffix_at(i: int) -> UPWord:
-        if i < len(pre):
-            return UPWord(pre[i:], per)
-        j = i - len(pre)
-        return UPWord(per[j:], per)
+    def suffix(i: int) -> UPWord:
+        return UPWord(pre[i:], per) if i < len(pre) else \
+            UPWord(per[i - len(pre):], per)
 
-    states = []
-    for i in range(n):
-        sfx = suffix_at(i)
-        fitting = [q for q in p.states if member_up(p, sfx, from_states=[q])]
-        if not fitting:
-            raise NoState(str(sfx))
-        if len(fitting) > 1:
-            raise MultipleStates(f"{sfx}: {sorted(map(str, fitting))}")
-        states.append(fitting[0])
-    ann = tuple((x[i], states[i]) for i in range(n))
-    return UPWord(ann[:len(pre)], ann[len(pre):])
+    after = {q for q in p.states if member_up(p, UPWord((), per),
+                                              from_states=[q])}
+    fitting = []
+    for a in reversed(pre + per):
+        if not after:
+            # no state fits the next position, so none fits any before
+            # it: the first position without one is 0
+            raise NoState(str(suffix(0)))
+        after = {q for q in p.states
+                 if not p.successors(q, a).isdisjoint(after)}
+        fitting.append(after)
+    ann = []
+    for i, states in enumerate(reversed(fitting)):
+        if not states:
+            raise NoState(str(suffix(i)))
+        if len(states) > 1:
+            raise MultipleStates(f"{suffix(i)}: {sorted(map(str, states))}")
+        ann.append((x[i], *states))
+    return UPWord(tuple(ann[:len(pre)]), tuple(ann[len(pre):]))
 
 
 def eliminate_lookahead(t: TwoWayPLA) -> TwoWayTransducer:

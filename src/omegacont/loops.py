@@ -12,16 +12,19 @@ crossing traversals; the decomposition is extracted by aligning the
 runs on u1 u2 u3 and u1 u2 u2 u3.
 
 Idempotence is decided in context, not as compose(b, b) == b over all
-entries, which accepts a different set of candidates: every copy border
-of the two runs must carry the same crossing sequence, and one copy
-must exit as two do on each entry that sequence names.
+entries, which accepts a different set of candidates: both borders of
+u2 in the run on u1 u2 u3 must carry the same crossing sequence, and
+one copy must exit as two do on each entry that sequence names.  Then
+every copy border of the run on u1 u2 u2 u3 carries it too.
 
 There is one model of a run here, block summaries (BlockSummaries):
-the blocks ^u1, u2 and u3 are each simulated once per entry, the runs
-are walked block by block, and the walk up to u3 is resumed for each
-u3, so a search over triples sharing these blocks does not re-simulate
-whole tapes.  rho, decompose and is_idempotent read these walks, and
-behavior the same per-entry simulation of one block.
+the blocks ^u1, u2 and u3 are each simulated once per entry, the run
+on u1 u2 u3 is walked block by block, and the walk up to u3 is resumed
+for each u3, so a search over triples sharing these blocks does not
+re-simulate whole tapes.  The run on u1 u2 u2 u3 is read off that walk
+and the visits of the block u2 u2.  rho, decompose and is_idempotent
+read this walk, and behavior the same per-entry simulation of one
+block.
 """
 
 from __future__ import annotations
@@ -98,12 +101,14 @@ def compose(b1: Behavior, b2: Behavior) -> Behavior:
 
 
 def is_idempotent(t: TwoWayTransducer, u1, u2, u3) -> bool:
-    """Whether u2 is an idempotent loop in context: every copy border
-    of u1 u2 u3 and u1 u2 u2 u3 carries the same crossing sequence, so
-    extra copies replicate the run shape, and on each entry of that
-    sequence one u2 exits as u2 u2 does (its behavior composed with
-    itself is itself where it is used).  That is, decompose raises no
-    NotIdempotent, whether or not the runs reach the right end."""
+    """Whether u2 is an idempotent loop in context: both borders of u2
+    in the run on u1 u2 u3 carry the same crossing sequence, and on each
+    entry of that sequence one u2 exits as u2 u2 does (its behavior
+    composed with itself is itself where it is used).  Every copy border
+    of the run on u1 u2 u2 u3 then carries that sequence too (see
+    BlockSummaries._walks), so extra copies replicate the run shape.
+    That is, decompose raises no NotIdempotent, whether or not the runs
+    reach the right end."""
     try:
         BlockSummaries(t)._walks(as_word(u1), as_word(u2), as_word(u3))
     except NotIdempotent:
@@ -150,6 +155,18 @@ def _loop_outputs(pis, segs2) -> List[Word]:
     trs = []
     for i in range(1, len(pis)):
         seg2, pi = segs2[i], pis[i]
+        # This never fails once BlockSummaries._walks returns.  Let
+        # crossing traversal i of the first run enter u2 by the a-th
+        # crossing of one border of u2 and leave by the b-th crossing of
+        # the other.  In the cut and paste of the lemma there, the stay
+        # in u2 u2 that replaces it leaves by the b-th crossing of the
+        # matching copy border, inside the piece that starts at the a-th
+        # crossing of m and copies the first run from the a-th crossing
+        # of the entry border on: the stay ends with traversal i itself,
+        # in the copy it leaves from.  A visit to u2 that leaves on the
+        # side it entered crosses no border of u2 in between, so its
+        # stay crosses no m and emits what the visit does.  So seg2 is
+        # pi_i with the rest of that stay's output in front.
         if pi and seg2[len(seg2) - len(pi):] != pi:
             raise RuntimeError("pumping alignment failed: no common suffix")
         trs.append(seg2[:len(seg2) - len(pi)])
@@ -215,34 +232,40 @@ class _Block(dict):
         return v
 
 
-def _pieces(out: List, cuts: List[int]) -> List[Word]:
-    """The output of a walk cut into pi_0 .. pi_k at its cut points."""
-    ends = [0] + cuts + [len(out)]
-    return [tuple(out[i:j]) for i, j in zip(ends, ends[1:])]
+def _pieces(outs: List[Word], cuts: List[int]) -> List[Word]:
+    """The visit outputs outs of a walk joined into pi_0 .. pi_k, cut
+    before the visits cuts."""
+    ends = [0] + cuts + [len(outs)]
+    return [tuple(c for o in outs[i:j] for c in o)
+            for i, j in zip(ends, ends[1:])]
 
 
 class BlockSummaries:
-    """The runs of t on u1 u2 u3 and u1 u2 u2 u3, read off per-block
-    traversal summaries: rho, decompose and the idempotence check.
+    """The run of t on u1 u2 u3, read off per-block traversal
+    summaries, and the run on u1 u2 u2 u3 read off it: rho, decompose
+    and the idempotence check.
 
-    The tapes are made of the blocks ^u1 (u1 on a marked tape), u2 and
+    The tape is made of the blocks ^u1 (u1 on a marked tape), u2 and
     u3.  Each block word is simulated once per entry cell, entry state
     and whether it is the leftmost block (where a left exit blocks),
     and the visit's exit side, exit state, output, boundary-cell
     configurations and step count are kept.  The configurations find
     the loops of a run at the step run_finite finds them; the step
     counts give run_finite's indices.  A run does not depend on u3
-    before it first enters u3, so each walk stops there and every u3
-    resumes it.  The instance keeps one such walk per tape length, as a
-    search asks for all u3s of one (u1, u2) in a row, and holds nothing
-    beyond the search it serves."""
+    before it first enters u3, so the walk stops there and every u3
+    resumes it.  The instance keeps one such walk, as a search asks for
+    all u3s of one (u1, u2) in a row, and holds nothing beyond the
+    search it serves.  The run on u1 u2 u2 u3 is not walked: once u2 is
+    idempotent in context it makes the same visits with each visit to
+    u2 replaced by the visit to the block u2 u2 on the same entry (see
+    _walks)."""
 
     def __init__(self, t: TwoWayTransducer):
         self.t = t
         self._number = {q: i for i, q in enumerate(t.states)}
         self._blocks: Dict[Tuple[Word, bool], _Block] = {}
         self._stables: Dict[Tuple[Word, tuple], bool] = {}
-        self._slots: Dict[int, tuple] = {}
+        self._slot: Optional[tuple] = None
 
     def _block(self, w: Word, leftmost: bool) -> _Block:
         b = self._blocks.get((w, leftmost))
@@ -251,39 +274,39 @@ class BlockSummaries:
                                                      w, leftmost)
         return b
 
-    def _walk(self, words, copies: int, walk=None):
+    def _walk(self, words, walk=None):
         """Follow the run of t one visit at a time on the tape of the
         non-empty blocks words, from its start; or, given walk (one that
         left its tape to the right), on that tape and the block words[0],
-        from the entry into it.  The output is cut at the start of each
-        crossing traversal (entered on one side, left on the other) of
-        the u2 copies: the last copies blocks of words, or of walk's
-        tape.  A run starts in a copy only on a marked tape with u1
-        empty, where equal copy borders keep it in the first copy: it
-        has no value to cut.  A walk is whether the run leaves the tape
-        to the right, the crossings of each border (border i lies left
-        of block i, the last one is the tape's right end), the visits as
-        (block, entry side, entry state, exit side, exit state, output,
-        steps), the output, its cut points, and what resuming needs: the
-        last state, the blocks and the boundary-cell configurations met
-        per block."""
+        from the entry into it.  The cuts are the visits to the last
+        block of the first tape (u2, when it is not empty) that leave it
+        on the other side: its crossing traversals, where pi_1 .. pi_k
+        start.  The start counts as a left entry.  A run starts in u2
+        only on a marked tape with u1 empty, where equal borders of u2
+        keep it in u2, so it never reaches the right end and its cuts
+        are not read.  A walk is whether the run leaves the tape to the
+        right, the crossings of each border (border i lies left of block
+        i, the last one is the tape's right end), the visits as (block,
+        entry side, entry state, exit side, exit state, output, steps),
+        the cuts as visit indices, and what resuming needs: the last
+        state, the blocks and the boundary-cell configurations met per
+        block."""
         if walk is None:
             blocks = [self._block(w, i == 0) for i, w in enumerate(words)]
             b = border = 0
-            q, hi = self.t.initial, len(blocks) - 1
-            seen, cross = [0] * len(blocks), [[] for _ in range(hi + 2)]
-            visits, out, cuts = [], [], []
+            q, cut = self.t.initial, len(blocks) - 1
+            seen, cross = [0] * len(blocks), [[] for _ in range(cut + 2)]
+            visits, cuts = [], []
             if not blocks:
-                return True, cross, visits, out, cuts, q, blocks, seen
+                return True, cross, visits, cuts, q, blocks, seen
         else:
-            _, cross, visits, out, cuts, q, blocks, seen = walk
+            _, cross, visits, cuts, q, blocks, seen = walk
             b = border = len(blocks)
-            hi = b - 1
+            cut = b - 1
             blocks = blocks + [self._block(words[0], not blocks)]
             seen, cross = seen + [0], [c[:] for c in cross] + [[]]
-            visits, out, cuts = visits[:], out[:], cuts[:]
+            visits, cuts = visits[:], cuts[:]
         side, last = "L", len(blocks) - 1
-        lo, start = hi + 1 - copies, None
         while True:
             ex, q2, o, boundary, entry, steps = blocks[b][side, q]
             # A run meeting a configuration of an earlier visit follows
@@ -294,23 +317,18 @@ class BlockSummaries:
                 if seen[b] & entry:
                     # the step into a repeated configuration is not run
                     cross[border].pop()
-                return False, cross, visits, out, cuts, q, blocks, seen
+                return False, cross, visits, cuts, q, blocks, seen
             seen[b] |= boundary
+            if b == cut and ex not in (side, None):
+                cuts.append(len(visits))
             visits.append((b, side, q, ex, q2, o, steps))
-            if start is None and lo <= b <= hi:
-                start, entered = len(out), side
-            out.extend(o)
             q = q2
             if ex is None:
-                return False, cross, visits, out, cuts, q, blocks, seen
-            if start is not None and b == (hi if ex == "R" else lo):
-                if ex != entered:
-                    cuts.append(start)
-                start = None
+                return False, cross, visits, cuts, q, blocks, seen
             if ex == "R":
                 if b == last:
                     cross[-1].append(("R", q))
-                    return True, cross, visits, out, cuts, q, blocks, seen
+                    return True, cross, visits, cuts, q, blocks, seen
                 b, side = b + 1, "L"
                 border = b
             else:
@@ -318,19 +336,15 @@ class BlockSummaries:
                 b, side = b - 1, "R"
             cross[border].append((ex, q))
 
-    def _resumed(self, words, copies: int, u3: Word):
+    def _resumed(self, words, u3: Word):
         """The walk over words | u3, resumed from the walk over words,
-        which is kept, keyed by its words alone: x | x is walked with
-        one copy for (x, x, u3) and two for ((), x, u3) on a marked
-        tape, but the second only when the run on x | u3 stays in x,
-        and then neither walk on x | x leaves x or has a cut."""
-        slot = self._slots.get(len(words))
-        if slot is None or slot[0] != words:
-            slot = self._slots[len(words)] = words, self._walk(words,
-                                                               copies)
-        walk = slot[1]
+        which is kept, keyed by its words alone: a walk does not depend
+        on the triple it serves, as its cuts are at its last block."""
+        if self._slot is None or self._slot[0] != words:
+            self._slot = words, self._walk(words)
+        walk = self._slot[1]
         if u3 and walk[0]:
-            return self._walk((u3,), copies, walk)
+            return self._walk((u3,), walk)
         return walk
 
     def _stable(self, u2: Word, crossings) -> bool:
@@ -346,40 +360,91 @@ class BlockSummaries:
         return self._stables[key]
 
     def _walks(self, u1: Word, u2: Word, u3: Word):
-        """The index of the (first) u2 block, the visits of the walk
-        over ^u1 | u2 | u3 and the pi segments of the walks over
-        ^u1 | u2 | u3 and ^u1 | u2 | u2 | u3 (its output and None when
-        u2 is empty).  NotIdempotent is raised when the first walk's
-        copy borders differ or one u2 does not exit as two do on an
-        entry they name, before the second walk starts, or when the
-        second walk's three copy borders do not all match them; then
-        NotInPrefDomain, when a run does not reach the right end.
-        Idempotence aligns the crossings: the runs agree until they
-        first enter u2, enter it alike, and (one copy exiting as two
-        do) leave it alike, so by induction they cross it in the same
-        order, with the same kinds and entry states."""
+        """The index i of the u2 block, the visits of the walk over
+        ^u1 | u2 | u3, and the pi segments of the runs on ^u1 u2 u3 and
+        ^u1 u2 u2 u3 (its output and None when u2 is empty).
+        NotIdempotent is raised when the borders of u2 carry different
+        crossing sequences or one u2 does not exit as u2 u2 does on an
+        entry they name; then NotInPrefDomain, when the run does not
+        reach the right end.  The second run is read off the first:
+
+        Lemma.  Let the run on T1 = ^u1 u2 u3, as run_finite records it
+        (up to its first repeated configuration), cross both borders x
+        and y of u2 with the same sequence C.  Then the run on
+        T2 = ^u1 u2 u2 u3 crosses its three copy borders x, m and y'
+        with C, and it reaches the right end exactly when the first run
+        does.  If, moreover, one u2 exits as u2 u2 does on every entry C
+        names, the second run makes the first run's visits to ^u1 and
+        u3 with the same entries and exits, and in place of each visit
+        to u2 a stay in u2 u2 on the same entry with the same exit.
+
+        Proof (Shepherdson's cut and paste, 1959).  If ^u1 is empty
+        (a marked tape), u2 starts both tapes and nothing crosses x, so
+        C is empty: both runs stay in the first u2, the same leftmost
+        block, and make the same steps.  Otherwise the run starts left
+        of x.  The crossings of a border alternate R, L, starting with
+        R, so the head is right of a border exactly when an odd number
+        of its crossings have been recorded.  A record ends past the
+        right end (its exit counts as a crossing of the tape's right
+        border), at a blocked configuration, or before a step into a
+        configuration it holds.  With as many crossings of x as of y,
+        the first run's record does not end in u2: it ends past the
+        right end or in ^u1 or u3, and a step into a repeated
+        configuration that crosses x or y enters u2.
+        Cut the first run's record at y, keeping its steps on ^u1 u2
+        (the left part), and at x, keeping its steps on u2 u3 (the
+        right part).  Both parts cross their cut with C.  So the left
+        part up to its first crossing of y, then the right part from
+        its first crossing of x up to its second, then the left part
+        from its second crossing of y up to its third, and so on, is a
+        computation of t on T2 from its start, with the left part on
+        ^u1 u2 and the right part on u2 u3 after m: the k-th crossings
+        of y and of x are the same move, which on T2 is a step across
+        m landing where the next piece starts.  It crosses m with C, x
+        with the first run's crossings of x, and y' with its crossings
+        of y.  It repeats no configuration, as neither part does and
+        they lie on different cells, so by determinism it is the second
+        run's record up to where the first run's record ends.  There
+        the second run is past the right end when the first is, blocks
+        when the first does (at the same cell of ^u1 or u3), and
+        otherwise steps into the copy of the configuration the first
+        run repeats, in the part the step stays in: a step entering u2
+        from ^u1 lands in the left part, from u3 in the right part, and
+        each part holds the first run's configurations in u2.  So the
+        second run repeats it too and records no more crossings.
+        For the visits: each visit of the first run to u2 is entered by
+        a crossing in C, so on an entry C names, and leaves u2 by a
+        recorded crossing, as the record does not end in u2.  By
+        induction over the visits, the second run enters u2 u2 where
+        the first enters u2, on the same entry, and leaves it as one u2
+        does; the visits to ^u1 and u3 then run on the same blocks from
+        the same entries.  QED
+
+        So the copy borders of the second run need no walk of their
+        own, nor does its reaching the right end; and its pi segments
+        are the first run's, cut at the same visits (a stay in u2 u2
+        leaves on the side its visit to u2 leaves), with each visit to
+        u2 replaced by the visit to u2 u2 on the same entry."""
         first = u1 if self.t.marked else (ENDMARKER,) + u1
         i = 1 if first else 0
-        head = tuple(filter(None, (first, u2)))
-        ends, cross, visits, out, cuts = self._resumed(head, 1, u3)[:5]
-        if not u2:
-            if not ends:
-                raise NotInPrefDomain("run does not reach the right end")
-            return i, visits, [tuple(out)], None
-        border = cross[i]
-        if cross[i + 1] != border or not self._stable(u2, border):
+        ends, cross, visits, cuts = self._resumed(
+            tuple(filter(None, (first, u2))), u3)[:4]
+        if u2 and (cross[i + 1] != cross[i] or
+                   not self._stable(u2, cross[i])):
             raise NotIdempotent(str(u2))
-        ends2, cross2, _, out2, cuts2 = self._resumed(head + (u2,), 2,
-                                                      u3)[:5]
-        if cross2[i:i + 3] != [border] * 3:
-            raise NotIdempotent(str(u2))
-        if not (ends and ends2):
+        if not ends:
             raise NotInPrefDomain("run does not reach the right end")
-        return i, visits, _pieces(out, cuts), _pieces(out2, cuts2)
+        outs = [v[5] for v in visits]
+        if not u2:
+            return i, visits, _pieces(outs, []), None
+        two = self._block(u2 + u2, False)
+        outs2 = [two[v[1], v[2]][2] if v[0] == i else v[5] for v in visits]
+        return i, visits, _pieces(outs, cuts), _pieces(outs2, cuts)
 
     def rho(self, u1: Word, u2: Word, u3: Word) -> Word:
         """rho(t, u1, u2, u3): the pi and tr segments are cut at the
-        crossing visits of u2 (of u2 u2 in the second walk)."""
+        crossing visits of u2 (at the stays in u2 u2 that replace them,
+        in the second run)."""
         _, _, pis, segs2 = self._walks(u1, u2, u3)
         out = list(pis[0])
         if segs2 is not None:
@@ -390,7 +455,7 @@ class BlockSummaries:
         return tuple(out)
 
     def decompose(self, u1: Word, u2: Word, u3: Word) -> RunDecomposition:
-        """decompose(t, u1, u2, u3): the traversals are the first walk's
+        """decompose(t, u1, u2, u3): the traversals are the walk's
         visits to u2, and a run index counts the steps the run takes
         before it."""
         i, visits, pis, segs2 = self._walks(u1, u2, u3)
@@ -415,5 +480,5 @@ def rho(t: TwoWayTransducer, u1, u2, u3) -> Word:
     """Iteration-stable output prefix: the run's output up to the first
     anchor whose component emits when pumped, or the whole output when
     no component does.  Values and exceptions are those of decompose,
-    read off the same two block walks (see BlockSummaries)."""
+    read off the same block walk (see BlockSummaries)."""
     return BlockSummaries(t).rho(as_word(u1), as_word(u2), as_word(u3))

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -250,3 +251,56 @@ class TestCallOrder:
                 t = dataclasses.replace(t, marked=True)
             kinds |= self._check(t, rng)
         assert kinds == {"value", "NotIdempotent", "NotInPrefDomain"}
+
+
+class TestCopyLemma:
+    """The lemma of BlockSummaries._walks, on run_finite's runs: when
+    both borders of u2 in the run on u1 u2 u3 carry the same crossing
+    sequence C, the run on u1 u2 u2 u3 crosses all three copy borders
+    with C and reaches the right end exactly when the first run does;
+    when one u2 also exits as u2 u2 does on each entry C names, its
+    stays in u2 u2 have the kinds, entry and exit states of the first
+    run's visits to u2."""
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_second_run_follows(self, marked):
+        # test_loops_reference imports this module, so its run scans
+        # are imported once both are loaded
+        from test_loops_reference import _border_crossings, _factor_traversals
+        rng = random.Random(5)
+        held = Counter()
+        for t in [block_doubler()] + [random_two_way(rng)
+                                      for _ in range(50)]:
+            if marked:
+                t = dataclasses.replace(t, marked=True)
+            words = list(words_up_to(sorted(t.alphabet), 2))
+            behaviors = {}
+            for u1, u2, u3 in itertools.product(words, words[1:], words):
+                lo = len(u1) + (0 if marked else 1)
+                run1 = run_finite(t, u1 + u2 + u3)
+                cross = _border_crossings(run1, lo)
+                if _border_crossings(run1, lo + len(u2)) != cross:
+                    continue
+                run2 = run_finite(t, u1 + u2 + u2 + u3)
+                for k in range(3):
+                    assert _border_crossings(run2, lo + k * len(u2)) == \
+                        cross, (u1, u2, u3, k)
+                assert (run2.exit == "right_end") == \
+                    (run1.exit == "right_end"), (u1, u2, u3)
+                held[run1.exit, bool(cross)] += 1
+                if u2 not in behaviors:
+                    behaviors[u2] = behavior(t, u2), behavior(t, u2 + u2)
+                one, two = behaviors[u2]
+                if any(one.left_entry[q] != two.left_entry[q] if d == "R"
+                       else one.right_entry[q] != two.right_entry[q]
+                       for d, q in cross):
+                    continue
+                visits, stays = (
+                    [(tr.kind, tr.entry_state, tr.exit_state)
+                     for tr in _factor_traversals(t, run, lo, lo + n)]
+                    for run, n in ((run1, len(u2)), (run2, 2 * len(u2))))
+                assert stays == visits, (u1, u2, u3)
+                held["stable"] += 1
+        # the lemma is met on runs that cross u2 and end in each way
+        assert held["right_end", True] and held["looped", True] and \
+            held["blocked", True] and held["stable"]

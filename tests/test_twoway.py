@@ -2,13 +2,14 @@ import pytest
 
 from omegacont.buchi import all_up_words, is_empty, member_up, trim
 from omegacont.fixtures import (
-    ENDMARKER, block_doubler, p_letter_count, p_suffix_shape, stem_doubler,
-    tail_classifier_2way,
+    ENDMARKER, block_doubler, p_letter_count, p_suffix_shape,
+    prefix_doubler_2way, stem_doubler, tail_classifier_2way,
 )
 from omegacont.lookahead import (
     MultipleStates, NoState, eliminate_lookahead, good_annotation,
 )
 from omegacont.stream_eval import stream_feed, stream_start, stream_step
+from omegacont.textio import fixture_path, parse_spec
 from omegacont.twoway import (
     DomainOracle, NotInDomain, Output, StateCapExceeded, eval_up_2way,
     domain_nba, run_finite, two_way, two_way_to_nba,
@@ -133,6 +134,70 @@ class TestGoodAnnotation:
                   [], ["x", "y"])
         with pytest.raises(MultipleStates):
             good_annotation(b, up_word("", "b"))
+
+
+def _reference_good_annotation(p, x: UPWord) -> UPWord:
+    """good_annotation as it read before the backward pass: one
+    member_up per (position, look-ahead state)."""
+    pre, per = x.prefix, x.period
+    n = len(pre) + len(per)
+
+    def suffix_at(i: int) -> UPWord:
+        if i < len(pre):
+            return UPWord(pre[i:], per)
+        j = i - len(pre)
+        return UPWord(per[j:], per)
+
+    states = []
+    for i in range(n):
+        sfx = suffix_at(i)
+        fitting = [q for q in p.states if member_up(p, sfx, from_states=[q])]
+        if not fitting:
+            raise NoState(str(sfx))
+        if len(fitting) > 1:
+            raise MultipleStates(f"{sfx}: {sorted(map(str, fitting))}")
+        states.append(fitting[0])
+    ann = tuple((x[i], states[i]) for i in range(n))
+    return UPWord(ann[:len(pre)], ann[len(pre):])
+
+
+class TestGoodAnnotationReference:
+    """The backward pass against the per-position member_up scan, on
+    every endmarked UP word up to (3, 3): the annotation, or the same
+    exception with the same message."""
+
+    @staticmethod
+    def _outcome(fn, p, x):
+        try:
+            return fn(p, x)
+        except (NoState, MultipleStates) as e:
+            return type(e), str(e)
+
+    def _check(self, p, alphabet):
+        kinds = set()
+        for x in all_up_words(alphabet, 3, 3):
+            marked = up_word((ENDMARKER,) + x.prefix, x.period)
+            want = self._outcome(_reference_good_annotation, p, marked)
+            assert self._outcome(good_annotation, p, marked) == want, x
+            kinds.add(want[0].__name__ if isinstance(want, tuple)
+                      else "value")
+        return kinds
+
+    def test_fixtures(self):
+        kinds = set()
+        for t in (stem_doubler(), tail_classifier_2way(),
+                  prefix_doubler_2way()):
+            kinds |= self._check(t.lookahead.automaton, sorted(t.alphabet))
+        assert kinds == {"value", "NoState"}
+
+    def test_not_prophetic(self):
+        # f_inf's look-ahead with A8 a A8 replaced by B7 a A8 (see
+        # tests/test_cli.py TestNotProphetic)
+        with open(fixture_path("f_inf"), encoding="utf-8") as f:
+            text = f.read().replace("trans: A8 a A8\n", "trans: B7 a A8\n")
+        t = parse_spec(text).machine
+        kinds = self._check(t.lookahead.automaton, "ab")
+        assert kinds == {"value", "MultipleStates"}
 
 
 class TestEliminateLookahead:
