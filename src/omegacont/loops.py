@@ -236,8 +236,15 @@ def _pieces(outs: List[Word], cuts: List[int]) -> List[Word]:
     """The visit outputs outs of a walk joined into pi_0 .. pi_k, cut
     before the visits cuts."""
     ends = [0] + cuts + [len(outs)]
-    return [tuple(c for o in outs[i:j] for c in o)
-            for i, j in zip(ends, ends[1:])]
+    pieces = []
+    for i, j in zip(ends, ends[1:]):
+        # joined in a list: a tuple built from a generator is resized,
+        # and the resized tuples pile up in CPython's tuple free lists
+        piece = []
+        for o in outs[i:j]:
+            piece += o
+        pieces.append(tuple(piece))
+    return pieces
 
 
 class BlockSummaries:
