@@ -8,10 +8,13 @@ its accepting run; the transducers handled here are assumed functional
 Continuity and uniform continuity are decided by searching for the
 structural bad pattern: two runs on a common prefix u followed by
 synchronized loops on v whose outputs already disagree (or are forced
-to disagree by a tail w on the second run).  Output comparison along
-the paired runs tracks the leader's pending output, clamped at a delay
-bound; a clamped (overflowed) comparison is treated as unknown rather
-than as a mismatch, so the search stays sound.
+to disagree by a tail w on the second run).  The paired runs are
+searched breadth-first, and the search stops at the first pair that
+shows the pattern.  Only runs that emit forever count, as in eval_up.
+Output comparison along the paired runs tracks the leader's pending
+output, clamped at a delay bound; a clamped (overflowed) comparison is
+treated as unknown rather than as a mismatch, so the search stays
+sound.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import cached_property
 from typing import FrozenSet, Hashable, Optional, Tuple
 
 from .buchi import (BuchiAutomaton, bfs_path, explore, find_lasso,
-                    lasso_word, live_nodes, path_to)
+                    lasso_word, live_nodes)
 from .buchi import trim as buchi_trim
 from .words import UPWord, Word, as_word, mismatch, up_word
 
@@ -302,6 +305,27 @@ class ContinuityWitness:
     mismatch_pos: int
 
 
+def silent_accepting_cycle(t: Transducer) -> bool:
+    """Trimmed machine has a cycle through a final state that emits
+    nothing, i.e. an accepted word with a finite image."""
+    def silent(q):
+        return [(a, r) for (a, r, g) in t.out_arcs(q) if not g]
+    return any(bfs_path((f,), silent, lambda q: q == f) is not None
+               for f in t.final)
+
+
+def _emitting_runs(t: Transducer) -> Transducer:
+    """Phase product of t, as in eval_up: phase 0 waits for a final
+    state and phase 1 for an emitting arc, and the finals are (q, 0)
+    for final q.  Its accepting runs are t's runs that emit forever."""
+    trans = {((q, ph), a, (r, (ph + bool((q in t.final, g)[ph])) % 2), g)
+             for (q, a, r, g) in t.transitions for ph in (0, 1)}
+    return Transducer(t.alphabet, t.output_alphabet,
+                      frozenset((q, ph) for q in t.states for ph in (0, 1)),
+                      frozenset(trans), frozenset((q, 0) for q in t.initial),
+                      frozenset((q, 0) for q in t.final))
+
+
 def decide_continuity(t: Transducer, variant: str = "cont"
                       ) -> Optional[ContinuityWitness]:
     """None when the realized function is (uniformly) continuous on its
@@ -310,17 +334,32 @@ def decide_continuity(t: Transducer, variant: str = "cont"
     variant "cont" requires the limit u v^omega to be in the domain;
     "ucont" does not (uniform continuity also fails at limits outside
     the domain as long as both runs stay alive).
+
+    Paired runs on a common input are searched breadth-first, each node
+    tested for the pattern as it is first reached, and the search stops
+    at the first node that shows it, with the path to it as u.  As in
+    eval_up, only runs that emit forever count: a machine with a silent
+    accepting cycle is decided on its phase product, whose accepting
+    runs are the original ones that emit infinitely often.
     """
     if variant not in ("cont", "ucont"):
         raise ValueError(variant)
     t = trim_transducer(t)
+    # a pair of product runs is a pair of t's runs, each of which goes
+    # on to emit forever, so t's delay bound holds for them as well
+    bound = delay_bound(t)
+    if silent_accepting_cycle(t):
+        t = trim_transducer(_emitting_runs(t))
     if not t.initial:
         return None
-    bound = delay_bound(t)
-    need_final = (variant == "cont")
+    init = [(p1, p2, EQUAL) for p1 in _sorted(t.initial)
+            for p2 in _sorted(t.initial)]
 
-    # Stage A: explore paired runs on a common input, tracking statuses.
     def succ(node):
+        # None is a root whose edges lead to the start pairs, so that
+        # they are tested too
+        if node is None:
+            return [(None, n) for n in init]
         q1, q2, status = node
         out = []
         for (a, r1, g1) in t.out_arcs(q1):
@@ -329,42 +368,43 @@ def decide_continuity(t: Transducer, variant: str = "cont"
                 out.append(((a, g1, g2), (r1, r2, ns)))
         return out
 
-    ini = _sorted(t.initial)
-    init = [(p1, p2, EQUAL) for p1 in ini for p2 in ini]
-    order, parent = explore(init, succ)
-    for node in order:
-        q1, q2, status = node
-        if status == MM:
-            cyc = _pair_cycle(t, q1, q2, need_final)
-            if cyc is None:
-                continue
-            return _build_witness(t, path_to(parent, node)[1], cyc,
-                                  w1_labels=(), r1=q1,
-                                  w_labels=(), r2=q2)
-        if status == OF:
-            continue
-        if status[0] == 1 and status[1]:
-            pending = status[1]
-            cyc = _pair_cycle(t, q1, q2, need_final, eps2=True)
-            if cyc is not None:
-                tail = _mismatching_tail(t, q2, pending)
-                if tail is not None:
-                    w_labels, r2 = tail
-                    return _build_witness(t, path_to(parent, node)[1], cyc,
-                                          w1_labels=(), r1=q1,
-                                          w_labels=w_labels, r2=r2)
-        if variant == "ucont":
-            # Both loops silent, mismatching tails on both sides.
-            cyc = _pair_cycle(t, q1, q2, need_final=False,
-                              eps1=True, eps2=True)
-            if cyc is None:
-                continue
+    parts = {}  # the goal is tested on every edge, the pattern once a node
+
+    def found(node):
+        if node not in parts:
+            parts[node] = _pattern(t, node, variant, bound)
+        return parts[node] is not None
+
+    path = bfs_path([None], succ, found)
+    if path is None:
+        return None
+    nodes, labels = path
+    return _build_witness(t, labels[1:], *parts[nodes[-1]])
+
+
+def _pattern(t, node, variant, bound):
+    """The pattern's parts at a paired-run node (q1, q2, status), as
+    (v labels, w1 labels, r1, w labels, r2), or None."""
+    q1, q2, status = node
+    need_final = (variant == "cont")
+    if status == MM:
+        cyc = _pair_cycle(t, q1, q2, need_final)
+        return None if cyc is None else (cyc, (), q1, (), q2)
+    if status == OF:
+        return None
+    if status[0] == 1 and status[1]:
+        cyc = _pair_cycle(t, q1, q2, need_final, eps2=True)
+        if cyc is not None:
+            tail = _mismatching_tail(t, q2, status[1])
+            if tail is not None:
+                return (cyc, (), q1) + tail
+    if variant == "ucont":
+        # Both loops silent, mismatching tails on both sides.
+        cyc = _pair_cycle(t, q1, q2, need_final=False, eps1=True, eps2=True)
+        if cyc is not None:
             tails = _pair_mismatching_tails(t, q1, q2, status, bound)
-            if tails is None:
-                continue
-            w1_labels, r1, w_labels, r2 = tails
-            return _build_witness(t, path_to(parent, node)[1], cyc,
-                                  w1_labels, r1, w_labels, r2)
+            if tails is not None:
+                return (cyc,) + tails
     return None
 
 
@@ -489,29 +529,29 @@ def safe_prefix_length(t: Transducer, u, w) -> int:
 
     Decided on the trimmed transducer, where every reachable run
     extends to an accepting one.  A run is live at j while its output
-    is w[:j] with j < len(w); it settles at j when its output first
-    differs from w there, or at len(w) once it covers w.  The answer is
-    the least position at which some run settles.  A run that settles
-    inside u counts only if it survives u; the tails of the live runs
-    are then searched once, never past the least position found so far,
-    since a run only settles at or after the position it is live at.
+    agrees with w on its first j symbols; it settles at j when its
+    output first differs from w there.  The answer is the least
+    position at which some run settles, or len(w) when none does.  A
+    run that settles inside u counts only if it survives u; the tails
+    of the live runs are then searched once, never past the least
+    position found so far, since a run only settles at or after the
+    position it is live at.  A run that covers w stays live past len(w)
+    and never settles: the answer never exceeds its start value len(w),
+    and no node at or past the least settled position is expanded.
     """
     u, w = as_word(u), as_word(w)
     t = trim_transducer(t)
-    n = len(w)
 
     def advance(j, g):
         # (position, live) once a run live at j emits g
         m = mismatch(g, w[j:j + len(g)])
-        if m is not None:
-            return j + m, False
-        return (j + len(g), True) if j + len(g) < n else (n, False)
+        return (j + len(g), True) if m is None else (j + m, False)
 
-    cur = {(q, 0, n > 0) for q in t.initial}
+    cur = {(q, 0, True) for q in t.initial}
     for a in u:
         cur = {(r,) + (advance(j, g) if live else (j, False))
                for (q, j, live) in cur for (r, g) in t.arcs(q, a)}
-    best = min((j for (_, j, live) in cur if not live), default=n)
+    best = min((j for (_, j, live) in cur if not live), default=len(w))
 
     def succ(node):
         nonlocal best

@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .buchi import bfs_path
 from .oneway import (EpsilonLoopOutput, Transducer, eval_up,
-                     functionality_check, transducer, trim_transducer)
+                     functionality_check, silent_accepting_cycle, transducer,
+                     trim_transducer)
 from .twoway import Output, eval_up_2way
 from .words import UPWord, Word, up_lcp, up_word, words_up_to
 
@@ -230,15 +230,6 @@ def _build_halves(rng, n_states, letters, out_letters, max_out):
     return states, trans, initial, final
 
 
-def _silent_accepting_cycle(t: Transducer) -> bool:
-    """Trimmed machine has a cycle through a final state that emits
-    nothing, i.e. an accepted word with a finite image."""
-    def silent(q):
-        return [(a, r) for (a, r, g) in t.out_arcs(q) if not g]
-    return any(bfs_path((f,), silent, lambda q: q == f) is not None
-               for f in t.final)
-
-
 def random_instance(seed: int, profile: Tuple[int, int, int, int]
                     = DEFAULT_PROFILE) -> Transducer:
     """Reproducible small functional transducer, redrawn until the
@@ -261,7 +252,7 @@ def random_instance(seed: int, profile: Tuple[int, int, int, int]
         t = trim_transducer(transducer(letters, out_letters, s, tr, i, f))
         if not t.states or not t.transitions:
             continue
-        if _silent_accepting_cycle(t):
+        if silent_accepting_cycle(t):
             continue
         # strict pending bound keeps the paired-run search small; it
         # only costs us some functional candidates, which are redrawn

@@ -59,6 +59,27 @@ class TestCheck:
         code, out, _ = run(capsys, cmd, fixture_path(name))
         assert (code, out) == want
 
+    def test_six_state_draw_returns(self, capsys, tmp_path):
+        # its paired-run graph is far too large to explore in full
+        p = tmp_path / "seed13.txt"
+        p.write_text(run(capsys, "gen", "--seed", "13", "--profile",
+                         "6,4,4,2")[1])
+        for cmd in ("check-cont", "check-ucont"):
+            code, out, _ = run(capsys, cmd, str(p))
+            assert code == 1
+            assert "not continuous" in out
+
+    def test_silent_accepting_loop_is_not_read(self, capsys, tmp_path):
+        # the run that ends in the silent loop at r has no image
+        p = tmp_path / "silent_loop.txt"
+        p.write_text("type: nft\nalphabet: a\noutputs: c d\n"
+                     "states: s1 s2 r\ninitial: s1 s2\nfinal: s1 r\n"
+                     'trans: s1 a s1 "c"\ntrans: s2 a r "d"\n'
+                     'trans: r a r ""\n')
+        for cmd in ("check-cont", "check-ucont"):
+            assert run(capsys, cmd, str(p))[:2] == (0, "continuous\n")
+        assert run(capsys, "eval", str(p), "(a)")[:2] == (0, "(c)\n")
+
     def test_acceptor_rejected(self, capsys, tmp_path):
         p = tmp_path / "acc.txt"
         p.write_text("type: buchi\nalphabet: a\nstates: q\n"
@@ -119,6 +140,15 @@ class TestStream:
     def test_refuses_discontinuous(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("aaa"))
         code, _, err = run(capsys, "stream", fixture_path("t_nc"))
+        assert code == 1
+        assert "--force" in err
+
+    def test_refuses_six_state_draw(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "seed13.txt"
+        p.write_text(run(capsys, "gen", "--seed", "13", "--profile",
+                         "6,4,4,2")[1])
+        monkeypatch.setattr("sys.stdin", io.StringIO("aaa"))
+        code, _, err = run(capsys, "stream", str(p))
         assert code == 1
         assert "--force" in err
 

@@ -6,13 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from omegacont.buchi import all_up_words, member_up
+from omegacont import oracle
+from omegacont.buchi import all_up_words, explore, member_up, path_to
 from omegacont.fixtures import branch_switch, prefix_doubler, tail_classifier
 from omegacont.oneway import (
-    EpsilonLoopOutput, decide_continuity, domain_automaton, eval_up,
-    functionality_check, transducer, trim_transducer,
-    universal_prefix_consistent,
+    EQUAL, MM, OF, EpsilonLoopOutput, _build_witness, _mismatching_tail,
+    _pair_cycle, _pair_mismatching_tails, _sorted, advance_status,
+    decide_continuity, delay_bound, domain_automaton, eval_up,
+    functionality_check, silent_accepting_cycle, transducer,
+    trim_transducer, universal_prefix_consistent,
 )
+from omegacont.oracle import random_instance
 from omegacont.stream_eval import mismatch_exists
 from omegacont.words import as_word, up_equal, up_lcp, up_word
 
@@ -173,6 +177,143 @@ class TestContinuity:
         check_witness(t, wit)
 
 
+def reference_decide_continuity(t, variant="cont"):
+    """decide_continuity as it was before the goal search: explore the
+    whole paired-run graph first, then scan its nodes in breadth-first
+    order.  It reads silent runs too, so it is only compared on
+    machines without a silent accepting cycle."""
+    if variant not in ("cont", "ucont"):
+        raise ValueError(variant)
+    t = trim_transducer(t)
+    if not t.initial:
+        return None
+    bound = delay_bound(t)
+    need_final = (variant == "cont")
+
+    # Stage A: explore paired runs on a common input, tracking statuses.
+    def succ(node):
+        q1, q2, status = node
+        out = []
+        for (a, r1, g1) in t.out_arcs(q1):
+            for (r2, g2) in t.arcs(q2, a):
+                ns = advance_status(status, g1, g2, bound)
+                out.append(((a, g1, g2), (r1, r2, ns)))
+        return out
+
+    ini = _sorted(t.initial)
+    init = [(p1, p2, EQUAL) for p1 in ini for p2 in ini]
+    order, parent = explore(init, succ)
+    for node in order:
+        q1, q2, status = node
+        if status == MM:
+            cyc = _pair_cycle(t, q1, q2, need_final)
+            if cyc is None:
+                continue
+            return _build_witness(t, path_to(parent, node)[1], cyc,
+                                  w1_labels=(), r1=q1,
+                                  w_labels=(), r2=q2)
+        if status == OF:
+            continue
+        if status[0] == 1 and status[1]:
+            pending = status[1]
+            cyc = _pair_cycle(t, q1, q2, need_final, eps2=True)
+            if cyc is not None:
+                tail = _mismatching_tail(t, q2, pending)
+                if tail is not None:
+                    w_labels, r2 = tail
+                    return _build_witness(t, path_to(parent, node)[1], cyc,
+                                          w1_labels=(), r1=q1,
+                                          w_labels=w_labels, r2=r2)
+        if variant == "ucont":
+            # Both loops silent, mismatching tails on both sides.
+            cyc = _pair_cycle(t, q1, q2, need_final=False,
+                              eps1=True, eps2=True)
+            if cyc is None:
+                continue
+            tails = _pair_mismatching_tails(t, q1, q2, status, bound)
+            if tails is None:
+                continue
+            w1_labels, r1, w_labels, r2 = tails
+            return _build_witness(t, path_to(parent, node)[1], cyc,
+                                  w1_labels, r1, w_labels, r2)
+    return None
+
+
+def first_draw(seed, profile):
+    """The first machine random_instance's loop draws, trimmed, before
+    any filter."""
+    n_states, n_in, n_out, max_out = profile
+    letters, out_letters = "abcdefgh"[:n_in], "abcdefgh"[:n_out]
+    rng = random.Random(seed)
+    build = oracle._build_halves if rng.random() < 0.5 else oracle._build_free
+    s, tr, i, f = build(rng, n_states, letters, out_letters, max_out)
+    return trim_transducer(transducer(letters, out_letters, s, tr, i, f))
+
+
+# An accepting loop at r that emits nothing: f(a^omega) = c^omega, and
+# the run through r is not read.
+SILENT_LOOP = transducer("a", "cd", ["s1", "s2", "r"],
+                         {("s1", "a", "s1", "c"), ("s2", "a", "r", "d"),
+                          ("r", "a", "r", "")},
+                         ["s1", "s2"], ["s1", "r"])
+
+
+class TestGoalSearch:
+    """decide_continuity stops at the first paired-run node with the
+    pattern; a breadth-first queue reaches the nodes in the order the
+    full exploration lists them, with the same parent edges."""
+
+    @pytest.mark.parametrize("group", ["fixtures", "default", "6,4,4,2",
+                                       "8,4,4,2"])
+    def test_same_as_explore_then_scan(self, group):
+        if group == "fixtures":
+            ms = [branch_switch(), prefix_doubler(), tail_classifier()]
+        elif group == "default":
+            ms = [random_instance(s) for s in range(200)]
+        else:
+            # seed 13 of 6,4,4,2 does not return on the reference
+            profile = tuple(int(x) for x in group.split(","))
+            ms = [random_instance(s, profile) for s in range(40)
+                  if (s, group) != (13, "6,4,4,2")]
+        for t in ms:
+            assert not silent_accepting_cycle(t)
+            for variant in ("cont", "ucont"):
+                assert repr(decide_continuity(t, variant)) == \
+                    repr(reference_decide_continuity(t, variant))
+
+    @pytest.mark.parametrize("variant", ["cont", "ucont"])
+    @pytest.mark.parametrize("machine", [
+        lambda: random_instance(13, (6, 4, 4, 2)),
+        # has a silent accepting loop
+        lambda: first_draw(11, (6, 4, 4, 2)),
+    ], ids=["random_instance-13", "first-draw-11"])
+    def test_former_hangs_return_witnesses(self, machine, variant):
+        t = machine()
+        wit = decide_continuity(t, variant)
+        assert wit is not None
+        check_witness(t, wit)
+
+
+class TestSilentAcceptingLoop:
+    def test_silent_run_is_not_read(self):
+        assert eval_up(SILENT_LOOP, up_word("", "a")) == up_word("", "c")
+        assert decide_continuity(SILENT_LOOP, "cont") is None
+        assert decide_continuity(SILENT_LOOP, "ucont") is None
+
+    def test_first_draws_with_a_silent_loop(self):
+        # functional first draws of 4,2,2,2 with a silent accepting
+        # cycle; random_instance redraws every one of them
+        ms = [t for t in (first_draw(s, (4, 2, 2, 2)) for s in range(150))
+              if t.transitions and silent_accepting_cycle(t)
+              and functionality_check(t) is None]
+        assert len(ms) == 34
+        for t in ms:
+            for variant in ("cont", "ucont"):
+                wit = decide_continuity(t, variant)
+                if wit is not None:
+                    check_witness(t, wit)
+
+
 class TestPrefixConsistency:
     def test_prefix_doubler_examples(self):
         t = prefix_doubler()
@@ -228,7 +369,9 @@ class TestHashSeedIndependence:
         "for name in ('t_nc', 't_inf'):\n"
         "    for cmd in ('check-cont', 'check-ucont'):\n"
         "        main([cmd, fixture_path(name)])\n"
-        "print(decide_continuity(random_instance(40), 'ucont'))\n")
+        "print(decide_continuity(random_instance(40), 'ucont'))\n"
+        "t = random_instance(13, (6, 4, 4, 2))\n"
+        "print(decide_continuity(t, 'cont'), decide_continuity(t, 'ucont'))\n")
 
     def test_same_witness_under_every_seed(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -238,7 +381,7 @@ class TestHashSeedIndependence:
                        PYTHONPATH=src)
             got = subprocess.run([sys.executable, "-c", self.SCRIPT],
                                  env=env, capture_output=True, text=True,
-                                 check=True)
+                                 check=True, timeout=120)
             outs.add(got.stdout)
         assert len(outs) == 1
         assert "not continuous" in outs.pop()
