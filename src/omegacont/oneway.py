@@ -529,14 +529,14 @@ def safe_prefix_length(t: Transducer, u, w) -> int:
 
     Decided on the trimmed transducer, where every reachable run
     extends to an accepting one.  A run is live at j while its output
-    agrees with w on its first j symbols; it settles at j when its
+    agrees with w on its first j symbols, and settles at j when its
     output first differs from w there.  The answer is the least
     position at which some run settles, or len(w) when none does.  A
     run that settles inside u counts only if it survives u; the tails
     of the live runs are then searched once, never past the least
     position found so far, since a run only settles at or after the
-    position it is live at.  A run that covers w stays live past len(w)
-    and never settles: the answer never exceeds its start value len(w),
+    position it is live at.  A run that covers w needs no cap: it stays
+    live past len(w), the answer never exceeds its start value len(w),
     and no node at or past the least settled position is expanded.
     """
     u, w = as_word(u), as_word(w)
