@@ -10,11 +10,14 @@ structural bad pattern: two runs on a common prefix u followed by
 synchronized loops on v whose outputs already disagree (or are forced
 to disagree by a tail w on the second run).  The paired runs are
 searched breadth-first, and the search stops at the first pair that
-shows the pattern.  Only runs that emit forever count, as in eval_up.
-Output comparison along the paired runs tracks the leader's pending
-output, clamped at a delay bound; a clamped (overflowed) comparison is
-treated as unknown rather than as a mismatch, so the search stays
-sound.
+shows the pattern.  Output comparison along the paired runs tracks the
+leader's pending output, clamped at a delay bound; a clamped
+(overflowed) comparison is treated as unknown rather than as a
+mismatch, so the search stays sound.
+
+Every one-way question (evaluation, functionality, continuity and the
+safe prefix of a stream) reads only the runs that emit forever, the
+runs that define f, through one normal form per machine: emitting_runs.
 """
 
 from __future__ import annotations
@@ -88,6 +91,20 @@ class Transducer:
                       if tr[0] in keep and tr[2] in keep),
             self.initial & keep, self.final & keep)
 
+    @cached_property
+    def _emitting(self) -> "Transducer":
+        # see emitting_runs
+        t = self._trimmed
+        if not silent_accepting_cycle(t):
+            return t
+        trans = {((q, ph), a, (r, (ph + bool((q in t.final, g)[ph])) % 2), g)
+                 for (q, a, r, g) in t.transitions for ph in (0, 1)}
+        return Transducer(
+            t.alphabet, t.output_alphabet,
+            frozenset((q, ph) for q in t.states for ph in (0, 1)),
+            frozenset(trans), frozenset((q, 0) for q in t.initial),
+            frozenset((q, 0) for q in t.final))._trimmed
+
     @property
     def max_output_len(self) -> int:
         return max((len(g) for (_, _, _, g) in self.transitions), default=0)
@@ -119,6 +136,17 @@ def trim_transducer(t: Transducer) -> Transducer:
     return t._trimmed
 
 
+def emitting_runs(t: Transducer) -> Transducer:
+    """A trim machine whose accepting runs are exactly t's accepting
+    runs that emit forever, the runs that define f; its domain is dom f.
+
+    It is trim_transducer(t) when t has no silent accepting cycle.
+    Otherwise it is the trimmed phase product: phase 0 waits for a
+    final state and phase 1 for an emitting arc, and the finals are
+    (q, 0) for final q.  Built once per machine."""
+    return t._emitting
+
+
 # ---------------------------------------------------------------------------
 # Evaluation on UP words
 
@@ -129,8 +157,24 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
     accepting run emits only finitely many symbols.
 
     The value is the output of any accepting run that emits infinitely
-    often, which is well defined only when t is functional.
+    often, which is well defined only when t is functional.  It is read
+    off one lasso of emitting_runs(t); only when that machine rejects x
+    and differs from the trimmed one is the trimmed one asked whether
+    it accepts x.
     """
+    e, tr = emitting_runs(t), trim_transducer(t)
+    lasso = _lasso_on(e, x)
+    if lasso is None:
+        if e is not tr and _lasso_on(tr, x) is not None:
+            raise EpsilonLoopOutput(str(x))
+        return None
+    return up_word(tuple(c for g in lasso.stem_labels for c in g),
+                   tuple(c for g in lasso.loop_labels for c in g))
+
+
+def _lasso_on(t: Transducer, x: UPWord):
+    """An accepting lasso of t's runs on x, over (state, position)
+    nodes, labelled by the outputs."""
     p, n = len(x.prefix), len(x.prefix) + len(x.period)
     syms = x.prefix + x.period
     nxt = list(range(1, n)) + [p]
@@ -143,34 +187,8 @@ def eval_up(t: Transducer, x: UPWord) -> Optional[UPWord]:
     # A node inside the prefix (i < p) lies on no cycle, since positions
     # only grow there; testing it first skips its hopeless cycle search
     # and leaves the lasso found unchanged.
-    lasso = find_lasso([(q, 0) for q in _sorted(t.initial)], succ,
-                       lambda nd: nd[1] >= p and nd[0] in t.final)
-    if lasso is None:
-        return None
-    if not any(lasso.loop_labels):
-        # The loop found is silent.  Phase 0 waits for a final state and
-        # phase 1 for an emitting arc, so a cycle through a final node in
-        # phase 0 passes both.
-        def succ_phase(node):
-            q, i, ph = node
-            j = nxt[i]
-            out = []
-            for (r, g) in t.arcs(q, syms[i]):
-                if ph == 0:
-                    nph = 1 if q in t.final else 0
-                else:
-                    nph = 0 if g else 1
-                out.append((g, (r, j, nph)))
-            return out
-
-        lasso = find_lasso([(q, 0, 0) for q in _sorted(t.initial)],
-                           succ_phase,
-                           lambda nd: (nd[1] >= p and nd[2] == 0
-                                       and nd[0] in t.final))
-        if lasso is None:
-            raise EpsilonLoopOutput(str(x))
-    return up_word(tuple(c for g in lasso.stem_labels for c in g),
-                   tuple(c for g in lasso.loop_labels for c in g))
+    return find_lasso([(q, 0) for q in _sorted(t.initial)], succ,
+                      lambda nd: nd[1] >= p and nd[0] in t.final)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +239,7 @@ class FunctionalityCounterexample:
 
 def functionality_check(t: Transducer, bound: Optional[int] = None
                         ) -> Optional[FunctionalityCounterexample]:
-    """None if t is functional; otherwise an accepted UP word with two
+    """None if t is functional; otherwise a UP word of dom f with two
     accepting runs that emit infinitely often (the runs eval_up reads)
     and whose outputs differ somewhere or drift more than bound apart.
 
@@ -230,26 +248,24 @@ def functionality_check(t: Transducer, bound: Optional[int] = None
     bound below delay_bound(t) keeps the search small but may report
     more functional machines that way; a None verdict stays trustworthy.
 
-    Only pairs of states from which both runs can still accept and emit
-    forever are compared, where a functional machine has one pending
-    output per leading side and length; the search stops at the first
-    difference or drift.
+    The runs are pairs of runs of emitting_runs(t), every accepting run
+    of which emits forever.  Only pairs of states from which both runs
+    can still accept are compared, where a functional machine has one
+    pending output per leading side and length; the search stops at the
+    first difference or drift.
     """
-    t = trim_transducer(t)
     if bound is None:
-        bound = delay_bound(t)
+        # the trimmed machine's delay bound holds for its emitting runs
+        bound = delay_bound(trim_transducer(t))
+    t = emitting_runs(t)
     final = t.final
 
     def pairs(node):
-        # the phase waits in turn for q1 final, g1 non-empty, q2 final
-        # and g2 non-empty
+        # the phase waits in turn for q1 final and q2 final
         q1, q2, ph = node
-        out = []
-        for (a, r1, g1) in t.out_arcs(q1):
-            for (r2, g2) in t.arcs(q2, a):
-                step = bool((q1 in final, g1, q2 in final, g2)[ph])
-                out.append(((a, g1, g2), (r1, r2, (ph + step) % 4)))
-        return out
+        nph = (ph + ((q1, q2)[ph] in final)) % 2
+        return [((a, g1, g2), (r1, r2, nph)) for (a, r1, g1)
+                in t.out_arcs(q1) for (r2, g2) in t.arcs(q2, a)]
 
     def fair(node):
         return node[2] == 0 and node[0] in final
@@ -314,18 +330,6 @@ def silent_accepting_cycle(t: Transducer) -> bool:
                for f in t.final)
 
 
-def _emitting_runs(t: Transducer) -> Transducer:
-    """Phase product of t, as in eval_up: phase 0 waits for a final
-    state and phase 1 for an emitting arc, and the finals are (q, 0)
-    for final q.  Its accepting runs are t's runs that emit forever."""
-    trans = {((q, ph), a, (r, (ph + bool((q in t.final, g)[ph])) % 2), g)
-             for (q, a, r, g) in t.transitions for ph in (0, 1)}
-    return Transducer(t.alphabet, t.output_alphabet,
-                      frozenset((q, ph) for q in t.states for ph in (0, 1)),
-                      frozenset(trans), frozenset((q, 0) for q in t.initial),
-                      frozenset((q, 0) for q in t.final))
-
-
 def decide_continuity(t: Transducer, variant: str = "cont"
                       ) -> Optional[ContinuityWitness]:
     """None when the realized function is (uniformly) continuous on its
@@ -335,21 +339,18 @@ def decide_continuity(t: Transducer, variant: str = "cont"
     "ucont" does not (uniform continuity also fails at limits outside
     the domain as long as both runs stay alive).
 
-    Paired runs on a common input are searched breadth-first, each node
-    tested for the pattern as it is first reached, and the search stops
-    at the first node that shows it, with the path to it as u.  As in
-    eval_up, only runs that emit forever count: a machine with a silent
-    accepting cycle is decided on its phase product, whose accepting
-    runs are the original ones that emit infinitely often.
+    Paired runs of emitting_runs(t) on a common input are searched
+    breadth-first, each node tested for the pattern as it is first
+    reached, and the search stops at the first node that shows it, with
+    the path to it as u.  As in eval_up, only runs that emit forever
+    count.
     """
     if variant not in ("cont", "ucont"):
         raise ValueError(variant)
-    t = trim_transducer(t)
-    # a pair of product runs is a pair of t's runs, each of which goes
-    # on to emit forever, so t's delay bound holds for them as well
-    bound = delay_bound(t)
-    if silent_accepting_cycle(t):
-        t = trim_transducer(_emitting_runs(t))
+    # a pair of runs that emit forever is a pair of the trimmed
+    # machine's runs, so its delay bound holds for them as well
+    bound = delay_bound(trim_transducer(t))
+    t = emitting_runs(t)
     if not t.initial:
         return None
     init = [(p1, p2, EQUAL) for p1 in _sorted(t.initial)
@@ -527,10 +528,10 @@ def safe_prefix_length(t: Transducer, u, w) -> int:
     """Length of the longest prefix of w that is a prefix of f(x) for
     every x in dom f extending input u.
 
-    Decided on the trimmed transducer, where every reachable run
-    extends to an accepting one.  A run is live at j while its output
-    agrees with w on its first j symbols, and settles at j when its
-    output first differs from w there.  The answer is the least
+    Decided on emitting_runs(t), where every reachable run extends to
+    an accepting one that emits forever.  A run is live at j while its
+    output agrees with w on its first j symbols, and settles at j when
+    its output first differs from w there.  The answer is the least
     position at which some run settles, or len(w) when none does.  A
     run that settles inside u counts only if it survives u; the tails
     of the live runs are then searched once, never past the least
@@ -540,7 +541,7 @@ def safe_prefix_length(t: Transducer, u, w) -> int:
     and no node at or past the least settled position is expanded.
     """
     u, w = as_word(u), as_word(w)
-    t = trim_transducer(t)
+    t = emitting_runs(t)
 
     def advance(j, g):
         # (position, live) once a run live at j emits g

@@ -21,7 +21,10 @@ proves that no domain word extends u.
 
 One-way and look-ahead machines commit the longest safe prefix of one
 candidate image (see _candidate).  A one-way machine finds it with one
-search, safe_prefix_length.  A look-ahead machine asks the mismatch
+search, safe_prefix_length.  Its oracle, its candidate and that search
+all read emitting_runs(machine), the runs that emit forever: a run
+with a finite image neither puts a word into Pref(dom f) nor
+contradicts a commit.  A look-ahead machine asks the mismatch
 question once per committed symbol, plus one: is there y with u.y in
 dom f and the prefix not a prefix of f(u.y)?  After look-ahead
 elimination it is answered through a product two-way automaton whose
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .buchi import is_empty
-from .oneway import Transducer, safe_prefix_length, trim_transducer
+from .oneway import Transducer, emitting_runs, safe_prefix_length
 from .twoway import (ENDMARKER, DomainOracle, StateCapExceeded, TwoWayPLA,
                      TwoWayTransducer, domain_nba, run_finite,
                      sampled_extensions)
@@ -169,13 +172,13 @@ def mismatch_exists(machine, u, v, state_cap: int = 12,
 
 
 def _candidate(machine, consumed: Word, ext_bound: int) -> Word:
-    """One-way: the output of a longest run of the trimmed machine on
-    consumed.  Look-ahead: the image of the first sampled extension, cut
-    at len(consumed) times the longest step output (every prefix of a
-    determined image is safe, so the commit needs a cap).  Any other
+    """One-way: the output of a longest run of emitting_runs(machine)
+    on consumed.  Look-ahead: the image of the first sampled extension,
+    cut at len(consumed) times the longest step output (every prefix of
+    a determined image is safe, so the commit needs a cap).  Any other
     next letter is contradicted by that run or sample."""
     if isinstance(machine, Transducer):
-        t = trim_transducer(machine)
+        t = emitting_runs(machine)
         best = {q: () for q in t.initial}
         for a in consumed:
             nxt = {}

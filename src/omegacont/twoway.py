@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from .buchi import BuchiAutomaton, all_up_words, explore, pref_automaton
-from .oneway import Transducer, domain_automaton
+from .oneway import Transducer, domain_automaton, emitting_runs
 from .words import UPWord, Word, as_word, up_word
 
 State = Hashable
@@ -439,12 +439,14 @@ class DomainOracle:
     """Membership in Pref(dom f) for finite words: does some domain word
     extend w?  One oracle answers for every machine kind.
 
-    A one-way machine is exact, through the prefix automaton of its
-    domain automaton.  A plain two-way machine with at most state_cap
-    states is exact, through domain_nba and its prefix automaton, unless
-    the conversion overflows its build budget.  Otherwise (and always
-    for a look-ahead machine) the oracle samples sampled_extensions:
-    a yes is sound, a no is not, and exact is False.
+    A one-way machine is exact, through the prefix automaton of the
+    domain automaton of emitting_runs(machine), whose language is dom f:
+    a word accepted only by runs with a finite image is not in it.  A
+    plain two-way machine with at most state_cap states is exact,
+    through domain_nba and its prefix automaton, unless the conversion
+    overflows its build budget.  Otherwise (and always for a look-ahead
+    machine) the oracle samples sampled_extensions: a yes is sound, a
+    no is not, and exact is False.
     """
 
     def __init__(self, machine, state_cap: int = 12, ext_bound: int = 4):
@@ -452,7 +454,8 @@ class DomainOracle:
         self.ext_bound = ext_bound
         self.pref = None
         if isinstance(machine, Transducer):
-            self.pref = pref_automaton(domain_automaton(machine))
+            self.pref = pref_automaton(domain_automaton(
+                emitting_runs(machine)))
         elif isinstance(machine, TwoWayTransducer) and \
                 len(machine.states) <= state_cap:
             try:

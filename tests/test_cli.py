@@ -69,7 +69,8 @@ class TestCheck:
             assert code == 1
             assert "not continuous" in out
 
-    def test_silent_accepting_loop_is_not_read(self, capsys, tmp_path):
+    def test_silent_accepting_loop_is_not_read(self, capsys, tmp_path,
+                                               monkeypatch):
         # the run that ends in the silent loop at r has no image
         p = tmp_path / "silent_loop.txt"
         p.write_text("type: nft\nalphabet: a\noutputs: c d\n"
@@ -79,6 +80,8 @@ class TestCheck:
         for cmd in ("check-cont", "check-ucont"):
             assert run(capsys, cmd, str(p))[:2] == (0, "continuous\n")
         assert run(capsys, "eval", str(p), "(a)")[:2] == (0, "(c)\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("a a a a"))
+        assert run(capsys, "stream", str(p))[:2] == (0, "a -> c\n" * 4)
 
     def test_acceptor_rejected(self, capsys, tmp_path):
         p = tmp_path / "acc.txt"
@@ -169,6 +172,20 @@ class TestStream:
         code, _, err = run(capsys, "stream", fixture_path("t_c"))
         assert code == 65
         assert "ca" in err
+
+    def test_input_read_only_by_silent_runs_is_dead(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # c(a) is accepted only through the silent loop at z, so no word
+        # of dom f starts with c
+        p = tmp_path / "silent_branch.txt"
+        p.write_text("type: nft\nalphabet: a b c\noutputs: c\n"
+                     "states: s t z\ninitial: s\nfinal: t z\n"
+                     'trans: s b t "c"\ntrans: t b t "c"\n'
+                     'trans: s c z ""\ntrans: z a z ""\n')
+        monkeypatch.setattr("sys.stdin", io.StringIO("c a a"))
+        code, out, err = run(capsys, "stream", str(p))
+        assert (code, out) == (65, "")
+        assert "no domain word extends c" in err
 
     def test_sampled_no_is_not_dead_input(self, capsys, monkeypatch):
         # a#a#... is in the domain; sampling within bound 1 misses it

@@ -1,24 +1,26 @@
+import itertools
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from omegacont import oracle
+from conftest import SILENT_LOOP, first_draw, silent_loop_draws
 from omegacont.buchi import all_up_words, explore, member_up, path_to
 from omegacont.fixtures import branch_switch, prefix_doubler, tail_classifier
 from omegacont.oneway import (
     EQUAL, MM, OF, EpsilonLoopOutput, _build_witness, _mismatching_tail,
     _pair_cycle, _pair_mismatching_tails, _sorted, advance_status,
-    decide_continuity, delay_bound, domain_automaton, eval_up,
-    functionality_check, silent_accepting_cycle, transducer,
+    decide_continuity, delay_bound, domain_automaton, emitting_runs,
+    eval_up, functionality_check, silent_accepting_cycle, transducer,
     trim_transducer, universal_prefix_consistent,
 )
 from omegacont.oracle import random_instance
-from omegacont.stream_eval import mismatch_exists
+from omegacont.stream_eval import (DeadInput, mismatch_exists, stream_feed,
+                                   stream_start, stream_step)
 from omegacont.words import as_word, up_equal, up_lcp, up_word
+from test_lasso_reference import ref_eval_up
 
 
 def check_witness(t, wit, n_max=6):
@@ -106,6 +108,21 @@ class TestFunctionality:
                        {("p", "a", "p", "x"), ("q", "a", "q", "")},
                        ["p", "q"], ["p", "q"])
         assert functionality_check(t) is None
+
+    def test_counterexamples_lie_in_the_domain(self):
+        # on the raw first draws, each counterexample word is in dom f
+        # and both outputs are images of runs that emit forever
+        found = 0
+        for p in ((4, 2, 2, 2), (3, 3, 2, 2), (5, 2, 2, 2), (3, 8, 8, 1),
+                  (6, 4, 4, 2)):
+            for t in (first_draw(s, p) for s in range(40)):
+                ce = functionality_check(t)
+                if ce is not None:
+                    found += 1
+                    dom = domain_automaton(emitting_runs(t))
+                    assert member_up(dom, ce.word)
+                    assert ce.output1.period and ce.output2.period
+        assert found == 132
 
     def test_drift_reported_with_equal_images(self):
         # unbounded delay, yet both runs write x^omega
@@ -239,25 +256,6 @@ def reference_decide_continuity(t, variant="cont"):
     return None
 
 
-def first_draw(seed, profile):
-    """The first machine random_instance's loop draws, trimmed, before
-    any filter."""
-    n_states, n_in, n_out, max_out = profile
-    letters, out_letters = "abcdefgh"[:n_in], "abcdefgh"[:n_out]
-    rng = random.Random(seed)
-    build = oracle._build_halves if rng.random() < 0.5 else oracle._build_free
-    s, tr, i, f = build(rng, n_states, letters, out_letters, max_out)
-    return trim_transducer(transducer(letters, out_letters, s, tr, i, f))
-
-
-# An accepting loop at r that emits nothing: f(a^omega) = c^omega, and
-# the run through r is not read.
-SILENT_LOOP = transducer("a", "cd", ["s1", "s2", "r"],
-                         {("s1", "a", "s1", "c"), ("s2", "a", "r", "d"),
-                          ("r", "a", "r", "")},
-                         ["s1", "s2"], ["s1", "r"])
-
-
 class TestGoalSearch:
     """decide_continuity stops at the first paired-run node with the
     pattern; a breadth-first queue reaches the nodes in the order the
@@ -294,24 +292,64 @@ class TestGoalSearch:
         check_witness(t, wit)
 
 
+def _value(evaluate, t, x):
+    """evaluate(t, x), with EpsilonLoopOutput as a value."""
+    try:
+        return evaluate(t, x)
+    except EpsilonLoopOutput:
+        return EpsilonLoopOutput
+
+
 class TestSilentAcceptingLoop:
+    """Only runs that emit forever are read, on SILENT_LOOP and on the
+    silent-loop first draws of conftest."""
+
     def test_silent_run_is_not_read(self):
         assert eval_up(SILENT_LOOP, up_word("", "a")) == up_word("", "c")
         assert decide_continuity(SILENT_LOOP, "cont") is None
         assert decide_continuity(SILENT_LOOP, "ucont") is None
+        assert stream_feed(SILENT_LOOP, "aaaa")[1] == as_word("cccc")
 
     def test_first_draws_with_a_silent_loop(self):
-        # functional first draws of 4,2,2,2 with a silent accepting
-        # cycle; random_instance redraws every one of them
-        ms = [t for t in (first_draw(s, (4, 2, 2, 2)) for s in range(150))
-              if t.transitions and silent_accepting_cycle(t)
-              and functionality_check(t) is None]
-        assert len(ms) == 34
-        for t in ms:
+        assert len(silent_loop_draws()) == 103
+        for t in silent_loop_draws():
+            for x in all_up_words(sorted(t.alphabet), 2, 2):
+                assert _value(eval_up, t, x) == _value(ref_eval_up, t, x)
             for variant in ("cont", "ucont"):
                 wit = decide_continuity(t, variant)
                 if wit is not None:
                     check_witness(t, wit)
+
+    def test_stream_on_first_draws_with_a_silent_loop(self):
+        # On every input u up to length 3, each commit is a prefix of
+        # f(x) for every domain word x = u e with e up to (2, 2), and an
+        # input refused as dead has no such x.
+        for t in silent_loop_draws():
+            exts = list(all_up_words(sorted(t.alphabet), 2, 2))
+            values = {}
+
+            def images(u):
+                for e in exts:
+                    x = up_word(u + e.prefix, e.period)
+                    if x not in values:
+                        values[x] = _value(eval_up, t, x)
+                    if values[x] not in (None, EpsilonLoopOutput):
+                        yield values[x]
+
+            states = [stream_start(t)]
+            for _ in range(3):
+                grown = []
+                for s, a in itertools.product(states, sorted(t.alphabet)):
+                    u = s.consumed + (a,)
+                    try:
+                        s2, _ = stream_step(s, a)
+                    except DeadInput:
+                        assert next(images(u), None) is None, u
+                        continue
+                    for y in images(u):
+                        assert y.take(len(s2.committed)) == s2.committed
+                    grown.append(s2)
+                states = grown
 
 
 class TestPrefixConsistency:
@@ -371,14 +409,22 @@ class TestHashSeedIndependence:
         "        main([cmd, fixture_path(name)])\n"
         "print(decide_continuity(random_instance(40), 'ucont'))\n"
         "t = random_instance(13, (6, 4, 4, 2))\n"
-        "print(decide_continuity(t, 'cont'), decide_continuity(t, 'ucont'))\n")
+        "print(decide_continuity(t, 'cont'), decide_continuity(t, 'ucont'))\n"
+        # emitting_runs' states are (state, phase) pairs
+        "from conftest import SILENT_LOOP as t\n"
+        "from omegacont.oneway import eval_up\n"
+        "from omegacont.stream_eval import stream_feed\n"
+        "from omegacont.words import up_word\n"
+        "print(eval_up(t, up_word('', 'a')), decide_continuity(t, 'ucont'),\n"
+        "      stream_feed(t, 'aaaa')[1])\n")
 
     def test_same_witness_under_every_seed(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
         outs = set()
         for seed in range(4):
             env = dict(os.environ, PYTHONHASHSEED=str(seed),
-                       PYTHONPATH=src)
+                       PYTHONPATH=path)
             got = subprocess.run([sys.executable, "-c", self.SCRIPT],
                                  env=env, capture_output=True, text=True,
                                  check=True, timeout=120)

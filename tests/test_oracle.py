@@ -1,11 +1,14 @@
+import hashlib
+
 import pytest
 
 from omegacont.fixtures import branch_switch, prefix_doubler, stem_doubler
 from omegacont.oneway import decide_continuity, transducer
 from omegacont.oracle import (
-    BadPair, BadPairFound, Divergent, MismatchAt, NoneUpTo,
+    DEFAULT_PROFILE, BadPair, BadPairFound, Divergent, MismatchAt, NoneUpTo,
     brute_force_check, random_instance, recheck_bad_pair,
 )
+from omegacont.textio import serialize
 
 
 def parity_flipper():
@@ -83,6 +86,18 @@ class TestRandomInstance:
         assert len(t.states) <= 3
         assert t.alphabet <= {"a", "b"}
         assert all(len(g) <= 1 for (_, _, _, g) in t.transitions)
+
+    def test_draws_pinned(self):
+        # functionality_check(t, bound=8) filters the draws, so a change
+        # to that search must not change which machines are drawn
+        draws = [(s, DEFAULT_PROFILE) for s in range(200)]
+        draws += [(s, p) for p in ((6, 4, 4, 2), (8, 4, 4, 2), (3, 3, 2, 2),
+                                   (5, 2, 2, 2)) for s in range(40)]
+        h = hashlib.sha256()
+        for s, p in draws:
+            h.update(serialize(random_instance(s, p)).encode())
+        assert h.hexdigest() == ("f236c0f4d938026c4b25f686c945edd1"
+                                 "add7e3516a19e96019375c6c0f302539")
 
 
 class TestDifferential:
