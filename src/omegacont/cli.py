@@ -276,7 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("upword")
 
-    sp = add("member", cmd_member, help="domain / language membership")
+    sp = add("member", cmd_member,
+             help="language / domain membership; on a one-way "
+             "transducer, the accepted language, which counts a word "
+             "whose accepting runs all have a finite image (eval tells "
+             "such a word apart)")
     sp.add_argument("file")
     sp.add_argument("upword")
 

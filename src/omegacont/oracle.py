@@ -8,6 +8,13 @@ continuity at u v^omega (when that limit is in the domain) or uniform
 continuity (unconditionally).  The search is bounded and only its
 positive answers are definite.
 
+Each call evaluates its images through one _evaluator, whose tables
+live only as long as the call: on a one-way machine, the states and
+outputs reached on each input prefix and the lasso output from a state
+over a period, so that every family u v^n w z^omega shares the reading
+of u v^n; on a two-way machine, a memo of eval_up_2way by normalised
+word.
+
 Also provides a reproducible generator of small functional one-way
 transducers used by the differential tests.
 """
@@ -19,9 +26,9 @@ import random
 from dataclasses import dataclass
 from typing import Tuple, Union
 
-from .oneway import (EpsilonLoopOutput, Transducer, eval_up,
-                     functionality_check, silent_accepting_cycle, transducer,
-                     trim_transducer)
+from .buchi import find_lasso
+from .oneway import (Transducer, emitting_runs, functionality_check,
+                     silent_accepting_cycle, transducer, trim_transducer)
 from .twoway import Output, eval_up_2way
 from .words import UPWord, Word, up_lcp, up_word, words_up_to
 
@@ -58,18 +65,75 @@ class NoneUpTo:
 
 
 def _evaluator(machine):
-    if isinstance(machine, Transducer):
-        def ev1(x):
-            try:
-                return eval_up(machine, x)
-            except EpsilonLoopOutput:
-                # accepted but with a finite image: not a function value
-                return None
-        return ev1
+    """ev(prefix, period): the image of prefix . period^omega, or None
+    outside dom f or when every accepting run on it emits only finitely
+    often.  The arguments are symbol tuples, not necessarily
+    normalised.
 
-    def ev(x):
-        got = eval_up_2way(machine, x)
-        return got.value if isinstance(got, Output) else None
+    On a one-way machine the image is read off two tables, which live
+    as long as ev: the states reached on each prefix read so far, with
+    one output per state, and the lasso output from a state over a
+    period.  Both are taken on emitting_runs, every accepting run of
+    which emits forever and, the machine being functional, has the
+    image as its output; so the image is that of the first reached
+    state with an accepting lasso.  A two-way machine's images are
+    memoised by the normalised word."""
+    if isinstance(machine, Transducer):
+        return _oneway_evaluator(emitting_runs(machine))
+    memo = {}
+
+    def ev(prefix, period):
+        x = up_word(prefix, period)
+        if x not in memo:
+            got = eval_up_2way(machine, x)
+            memo[x] = got.value if isinstance(got, Output) else None
+        return memo[x]
+
+    return ev
+
+
+def _oneway_evaluator(t: Transducer):
+    # prefix -> {state: output so far}, in the order of initial states
+    # by repr, then of arcs, so no answer depends on string hashing
+    reach = {(): {q: () for q in sorted(t.initial, key=repr)}}
+    tails = {}  # (state, period) -> (stem, loop) outputs, or None
+
+    def reached(prefix):
+        # read on from the longest prefix already read
+        k = len(prefix)
+        while prefix[:k] not in reach:
+            k -= 1
+        cur = reach[prefix[:k]]
+        for i in range(k, len(prefix)):
+            nxt = {}
+            for q, out in cur.items():
+                for r, g in t.arcs(q, prefix[i]):
+                    if r not in nxt:
+                        nxt[r] = out + g
+            cur = reach[prefix[:i + 1]] = nxt
+        return cur
+
+    def tail(q, period):
+        if (q, period) not in tails:
+            n = len(period)
+
+            def succ(node):
+                s, i = node
+                return [(g, (r, (i + 1) % n))
+                        for (r, g) in t.arcs(s, period[i])]
+
+            lasso = find_lasso([(q, 0)], succ, lambda nd: nd[0] in t.final)
+            tails[q, period] = None if lasso is None else tuple(
+                tuple(c for g in labels for c in g)
+                for labels in (lasso.stem_labels, lasso.loop_labels))
+        return tails[q, period]
+
+    def ev(prefix, period):
+        for q, out in reached(prefix).items():
+            got = tail(q, period)
+            if got is not None:
+                return up_word(out + got[0], got[1])
+        return None
 
     return ev
 
@@ -100,23 +164,24 @@ def brute_force_check(machine, variant: str, bound: int):
     most bound; BadPairFound(pair) or NoneUpTo(bound).
 
     Images are sampled at n = 1..2*bound+2 and compared on a fixed
-    window, so only positive answers are conclusive.
+    window, so only positive answers are conclusive.  They are evaluated
+    by one _evaluator built for the call, on the words as enumerated;
+    a one-way machine must be functional.  A bound below 1 raises
+    ValueError.
     """
     if variant not in ("cont", "ucont"):
         raise ValueError(f"unknown variant {variant!r}")
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, not {bound}")
     ev = _evaluator(machine)
     letters = sorted(machine.alphabet)
     n_max = 2 * bound + 2
     window = 4 * (bound + 2)
-    cache = {}
 
     def image(prefix, period):
         # (value, its first window symbols), or None outside the domain
-        x = up_word(prefix, period)
-        if x not in cache:
-            img = ev(x)
-            cache[x] = None if img is None else (img, img.take(window))
-        return cache[x]
+        img = ev(prefix, period)
+        return None if img is None else (img, img.take(window))
 
     for u in words_up_to(letters, 0, bound):
         for v in words_up_to(letters, 1, bound):
@@ -147,14 +212,15 @@ def brute_force_check(machine, variant: str, bound: int):
                         return BadPairFound(pair)
             for (w, z, ta, sa), (wp, zp, tb, sb) in \
                     itertools.combinations(tails, 2):
-                common = set(range(min(sa, sb)))
+                # the positions mismatched so far, least first
+                common = range(min(sa, sb))
                 for a, b in zip(ta, tb):
-                    common &= {i for i in common if a[i] != b[i]}
+                    common = [i for i in common if a[i] != b[i]]
                     if not common:
                         break
                 if common:
                     pair = BadPair(u, v, w, wp, up_word((), z),
-                                   up_word((), zp), MismatchAt(min(common)))
+                                   up_word((), zp), MismatchAt(common[0]))
                     return BadPairFound(pair)
     return NoneUpTo(bound)
 
@@ -164,8 +230,8 @@ def recheck_bad_pair(machine, pair: BadPair, n_max: int = 8) -> bool:
     ev = _evaluator(machine)
     left, right = [], []
     for n in range(1, n_max + 1):
-        a = ev(up_word(pair.u + pair.v * n + pair.w, pair.z.period))
-        b = ev(up_word(pair.u + pair.v * n + pair.wp, pair.zp.period))
+        a = ev(pair.u + pair.v * n + pair.w, pair.z.period)
+        b = ev(pair.u + pair.v * n + pair.wp, pair.zp.period)
         if a is None or b is None:
             return False
         left.append(a)

@@ -347,6 +347,13 @@ class TestOracleGen:
         assert code == 2
         assert "none up to bound 1" in out
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_oracle_bound_below_one(self, capsys, bound):
+        code, out, err = run(capsys, "oracle", fixture_path("t_nc"),
+                             "--bound", bound)
+        assert (code, out) == (65, "")
+        assert "bound must be at least 1" in err
+
     def test_gen_reproducible(self, capsys):
         _, out1, _ = run(capsys, "gen", "--seed", "9")
         _, out2, _ = run(capsys, "gen", "--seed", "9")

@@ -1,14 +1,21 @@
 import hashlib
+import inspect
+import sys
 
 import pytest
 
+from omegacont.buchi import all_up_words
 from omegacont.fixtures import branch_switch, prefix_doubler, stem_doubler
-from omegacont.oneway import decide_continuity, transducer
+from omegacont.oneway import (EpsilonLoopOutput, decide_continuity, eval_up,
+                              transducer)
 from omegacont.oracle import (
     DEFAULT_PROFILE, BadPair, BadPairFound, Divergent, MismatchAt, NoneUpTo,
-    brute_force_check, random_instance, recheck_bad_pair,
+    _evaluator, brute_force_check, random_instance, recheck_bad_pair,
 )
 from omegacont.textio import serialize
+from omegacont.words import up_word, words_up_to
+from conftest import SILENT_LOOP, silent_loop_draws
+from test_lasso_reference import MACHINES as LASSO_MACHINES
 
 
 def parity_flipper():
@@ -50,6 +57,12 @@ class TestBruteForce:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             brute_force_check(branch_switch(), "weird", 1)
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one(self, bound):
+        # a bound below 1 leaves no period to pump: nothing is searched
+        with pytest.raises(ValueError, match="at least 1"):
+            brute_force_check(branch_switch(), "cont", bound)
 
     def test_sampling_artifact_rejected(self):
         # deterministic, hence continuous, but the images of
@@ -121,3 +134,67 @@ class TestDifferential:
                     isinstance(brute_force_check(t, variant, b),
                                BadPairFound)
                     for b in (1, 2, 3, 4)), (variant, t)
+
+
+def eval_up_or_none(t, x):
+    try:
+        return eval_up(t, x)
+    except EpsilonLoopOutput:
+        return None
+
+
+def presentations(letters):
+    """Unnormalised (u v^n w, z) presentations, as brute_force_check
+    enumerates them."""
+    for u in words_up_to(letters, 0, 1):
+        for v in words_up_to(letters, 1, 1):
+            for w in words_up_to(letters, 0, 1):
+                for z in words_up_to(letters, 1, 2):
+                    for n in (1, 2):
+                        yield u + v * n + w, z
+
+
+def evaluator_machines():
+    yield from LASSO_MACHINES
+    yield "SILENT_LOOP", SILENT_LOOP
+    for i, t in enumerate(silent_loop_draws()):
+        yield f"silent_loop_draws()[{i}]", t
+
+
+EVALUATOR_MACHINES = list(evaluator_machines())
+
+
+class TestEvaluator:
+    """The one-way evaluator, reading its prefix and period tables,
+    against eval_up: the same value, or None where eval_up returns None
+    or raises EpsilonLoopOutput."""
+
+    @pytest.mark.parametrize("name,t", EVALUATOR_MACHINES,
+                             ids=[n for n, _ in EVALUATOR_MACHINES])
+    def test_matches_eval_up(self, name, t):
+        ev = _evaluator(t)
+        letters = sorted(t.alphabet)
+        for x in all_up_words(letters, 3, 2):
+            assert ev(x.prefix, x.period) == eval_up_or_none(t, x), x
+        for prefix, period in presentations(letters):
+            assert ev(prefix, period) == \
+                eval_up_or_none(t, up_word(prefix, period)), (prefix, period)
+
+    def test_long_prefix(self):
+        # the prefix is read letter by letter, with no frame per letter:
+        # 40 frames to spare are too few for one per letter
+        cases = [(prefix_doubler(), "a" * 60, "c"),
+                 (prefix_doubler(), "a" * 60, "d"),
+                 (branch_switch(), "ab" * 30, "b"),
+                 (SILENT_LOOP, "a" * 60, "a")]
+        for t, prefix, period in cases:
+            ev = _evaluator(t)
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(len(inspect.stack()) + 40)
+            try:
+                got = ev(tuple(prefix), tuple(period))
+            finally:
+                sys.setrecursionlimit(limit)
+            want = eval_up_or_none(t, up_word(prefix, period))
+            assert got == want, (prefix, period)
+        assert want == up_word("", "c")

@@ -2,10 +2,12 @@
 
 The reference below is the earlier search, kept as it was: it expands
 every image of a family symbol by symbol, compares images with a
-per-symbol lcp scan, and recomputes all three pairwise lcps of the last
-three samples.  The current search expands each image once per call
-with slices and computes each consecutive lcp once; it must report the
-same result, bad pair and evidence included.
+per-symbol lcp scan, recomputes all three pairwise lcps of the last
+three samples, and evaluates each normalised word once through eval_up
+(the _evaluator below).  The current search expands each image once
+per call with slices, computes each consecutive lcp once and reads
+one-way images off per-call prefix and period tables; it must report
+the same result, bad pair and evidence included.
 """
 
 import itertools
@@ -15,11 +17,31 @@ import pytest
 
 from omegacont.fixtures import (branch_switch, prefix_doubler, stem_doubler,
                                 tail_classifier)
+from omegacont.oneway import EpsilonLoopOutput, Transducer, eval_up
 from omegacont.oracle import (BadPair, BadPairFound, Divergent, MismatchAt,
-                              NoneUpTo, _diverges, _evaluator,
-                              brute_force_check, random_instance)
+                              NoneUpTo, _diverges, brute_force_check,
+                              random_instance)
+from omegacont.twoway import Output, eval_up_2way
 from omegacont.words import up_word, words_up_to
+from conftest import SILENT_LOOP, silent_loop_draws
 from test_oracle import parity_flipper
+
+
+def _evaluator(machine):
+    if isinstance(machine, Transducer):
+        def ev1(x):
+            try:
+                return eval_up(machine, x)
+            except EpsilonLoopOutput:
+                # accepted but with a finite image: not a function value
+                return None
+        return ev1
+
+    def ev(x):
+        got = eval_up_2way(machine, x)
+        return got.value if isinstance(got, Output) else None
+
+    return ev
 
 
 def ref_take(x, n):
@@ -106,6 +128,11 @@ def machines():
     yield "parity_flipper", parity_flipper()
     for seed in range(32):
         yield f"random_instance({seed})", random_instance(seed)
+    # machines with a silent accepting cycle; the first 35 draws take
+    # about 6 s in all, the next one alone about 8 s
+    yield "SILENT_LOOP", SILENT_LOOP
+    for i, t in enumerate(silent_loop_draws()[:35]):
+        yield f"silent_loop_draws()[{i}]", t
 
 
 MACHINES = list(machines())
