@@ -8,12 +8,16 @@ continuity at u v^omega (when that limit is in the domain) or uniform
 continuity (unconditionally).  The search is bounded and only its
 positive answers are definite.
 
-Each call evaluates its images through one _evaluator, whose tables
-live only as long as the call: on a one-way machine, the states and
-outputs reached on each input prefix and the lasso output from a state
-over a period, so that every family u v^n w z^omega shares the reading
-of u v^n; on a two-way machine, a memo of eval_up_2way by normalised
-word.
+Each call reads its images through one _reader, whose tables live
+only as long as the call: on a one-way machine, the states and outputs
+reached on each input prefix and the lasso output from a state over a
+period, so that every family u v^n w z^omega shares the reading of
+u v^n; on a two-way machine, a memo of eval_up_2way by normalised word.
+The search handles each image as its first window symbols, taken off
+the un-normalised (stem, loop) output pair, and reads the lcp of two
+images off their windows, capped at the window: every lcp it acts on
+lies below the window, so the cap changes no answer (see
+brute_force_check).  No window is kept across families or calls.
 
 Also provides a reproducible generator of small functional one-way
 transducers used by the differential tests.
@@ -30,7 +34,7 @@ from .buchi import find_lasso
 from .oneway import (Transducer, emitting_runs, functionality_check,
                      silent_accepting_cycle, transducer, trim_transducer)
 from .twoway import Output, eval_up_2way
-from .words import UPWord, Word, up_lcp, up_word, words_up_to
+from .words import UPWord, Word, lcp, up_lcp, up_word, words_up_to
 
 
 @dataclass(frozen=True)
@@ -64,35 +68,49 @@ class NoneUpTo:
     bound: int
 
 
-def _evaluator(machine):
-    """ev(prefix, period): the image of prefix . period^omega, or None
-    outside dom f or when every accepting run on it emits only finitely
-    often.  The arguments are symbol tuples, not necessarily
-    normalised.
+def _reader(machine):
+    """read(prefix, period): the image of prefix . period^omega as a
+    (stem, loop) pair of output words, not necessarily normalised, or
+    None outside dom f or when every accepting run on it emits only
+    finitely often.  The arguments are symbol tuples, not necessarily
+    normalised either.
 
     On a one-way machine the image is read off two tables, which live
-    as long as ev: the states reached on each prefix read so far, with
-    one output per state, and the lasso output from a state over a
+    as long as read: the states reached on each prefix read so far,
+    with one output per state, and the lasso output from a state over a
     period.  Both are taken on emitting_runs, every accepting run of
     which emits forever and, the machine being functional, has the
     image as its output; so the image is that of the first reached
     state with an accepting lasso.  A two-way machine's images are
     memoised by the normalised word."""
     if isinstance(machine, Transducer):
-        return _oneway_evaluator(emitting_runs(machine))
+        return _oneway_reader(emitting_runs(machine))
     memo = {}
 
-    def ev(prefix, period):
+    def read(prefix, period):
         x = up_word(prefix, period)
         if x not in memo:
             got = eval_up_2way(machine, x)
-            memo[x] = got.value if isinstance(got, Output) else None
+            memo[x] = ((got.value.prefix, got.value.period)
+                       if isinstance(got, Output) else None)
         return memo[x]
+
+    return read
+
+
+def _evaluator(machine):
+    """ev(prefix, period): the image of prefix . period^omega as a
+    normalised UPWord, or None where _reader gives None."""
+    read = _reader(machine)
+
+    def ev(prefix, period):
+        got = read(prefix, period)
+        return None if got is None else up_word(*got)
 
     return ev
 
 
-def _oneway_evaluator(t: Transducer):
+def _oneway_reader(t: Transducer):
     # prefix -> {state: output so far}, in the order of initial states
     # by repr, then of arcs, so no answer depends on string hashing
     reach = {(): {q: () for q in sorted(t.initial, key=repr)}}
@@ -128,14 +146,26 @@ def _oneway_evaluator(t: Transducer):
                 for labels in (lasso.stem_labels, lasso.loop_labels))
         return tails[q, period]
 
-    def ev(prefix, period):
+    def read(prefix, period):
         for q, out in reached(prefix).items():
             got = tail(q, period)
             if got is not None:
-                return up_word(out + got[0], got[1])
+                return out + got[0], got[1]
         return None
 
-    return ev
+    return read
+
+
+def _window(stem: Word, loop: Word, n: int) -> Word:
+    """The first n symbols of stem . loop^omega (loop non-empty)."""
+    k = max(0, -(-(n - len(stem)) // len(loop)))
+    return (stem + loop * k)[:n]
+
+
+def _window_lcp(a: Word, b: Word) -> int:
+    """lcp of two images read off their windows a and b of one length:
+    exact below that length, and that length when the windows agree."""
+    return len(a) if a == b else lcp(a, b)
 
 
 def _stable_up_to(lcps, window: int) -> int:
@@ -159,69 +189,108 @@ def _diverges(lcps) -> bool:
         all(b <= a for a, b in zip(lcps, lcps[1:]))
 
 
+def _mismatch(ta, sa: int, tb, sb: int):
+    """Least position below min(sa, sb) at which every sample of one
+    family differs from the same sample of the other, or None."""
+    common = range(min(sa, sb))
+    for a, b in zip(ta, tb):
+        common = [i for i in common if a[i] != b[i]]
+        if not common:
+            return None
+    return common[0]
+
+
+def _first_mismatch(tails):
+    """The first pair of tails (w, z, windows, stable), in the order of
+    itertools.combinations, whose families keep a mismatch below both
+    stable bounds, with its least such position; or None.
+
+    A mismatch depends only on the two tails' signatures (windows,
+    stable), and two tails of one signature never mismatch; so each
+    pair of distinct signatures is decided once, and the tail pairs are
+    walked only when some signature pair mismatches.  Signatures are
+    numbered in the order of the tails, so nothing depends on string
+    hashing."""
+    sig = {}
+    ids = [sig.setdefault((takes, stable), len(sig))
+           for _, _, takes, stable in tails]
+    table = {}
+    for ((ta, sa), i), ((tb, sb), j) in itertools.combinations(sig.items(), 2):
+        pos = _mismatch(ta, sa, tb, sb)
+        if pos is not None:
+            table[i, j] = table[j, i] = pos
+    if not table:
+        return None
+    for (a, i), (b, j) in itertools.combinations(zip(tails, ids), 2):
+        if (i, j) in table:
+            return a, b, table[i, j]
+    raise AssertionError("unreachable")
+
+
 def brute_force_check(machine, variant: str, bound: int):
     """Search for a synchronized bad pair with all parts of length at
     most bound; BadPairFound(pair) or NoneUpTo(bound).
 
     Images are sampled at n = 1..2*bound+2 and compared on a fixed
-    window, so only positive answers are conclusive.  They are evaluated
-    by one _evaluator built for the call, on the words as enumerated;
-    a one-way machine must be functional.  A bound below 1 raises
-    ValueError.
+    window of 4*(bound+2) symbols, so only positive answers are
+    conclusive.  They are read by one _reader built for the call, on
+    the words as enumerated; a one-way machine must be functional.  A
+    bound below 1 raises ValueError.
+
+    Each image is handled as its first window symbols only.  So is
+    every lcp of two consecutive images: read off their windows, it is
+    the exact lcp when that is below window, and window otherwise (an
+    exact lcp of at least window, or None for equal images).  Both
+    consumers answer the same on these capped lcps.  _diverges accepts
+    only lcps below n+1 <= 2*bound+1 < window, so an lcp of window, at
+    least window, or None all make it say no; _stable_up_to takes a min
+    with window, which neither changes.  Pairs of families are compared
+    once per pair of distinct signatures (_first_mismatch).  No table
+    outlives the call.
     """
     if variant not in ("cont", "ucont"):
         raise ValueError(f"unknown variant {variant!r}")
     if bound < 1:
         raise ValueError(f"bound must be at least 1, not {bound}")
-    ev = _evaluator(machine)
+    read = _reader(machine)
     letters = sorted(machine.alphabet)
     n_max = 2 * bound + 2
     window = 4 * (bound + 2)
 
-    def image(prefix, period):
-        # (value, its first window symbols), or None outside the domain
-        img = ev(prefix, period)
-        return None if img is None else (img, img.take(window))
-
     for u in words_up_to(letters, 0, bound):
         for v in words_up_to(letters, 1, bound):
-            if variant == "cont" and image(u, v) is None:
+            if variant == "cont" and read(u, v) is None:
                 continue
             tails = []
             for w in words_up_to(letters, 0, bound):
                 for z in words_up_to(letters, 1, bound):
                     # a family with one image outside the domain is skipped,
                     # so its later images need not be evaluated
-                    family = []
+                    takes = []
                     for n in range(1, n_max + 1):
-                        got = image(u + v * n + w, z)
+                        got = read(u + v * n + w, z)
                         if got is None:
                             break
-                        family.append(got)
-                    if len(family) < n_max:
+                        takes.append(_window(*got, window))
+                    if len(takes) < n_max:
                         continue
-                    imgs, takes = zip(*family)
-                    lcps = [up_lcp(a, b) for a, b in zip(imgs, imgs[1:])]
+                    lcps = [_window_lcp(a, b)
+                            for a, b in zip(takes, takes[1:])]
                     # positions that have not stabilized across the last
                     # samples may mismatch as an artifact of the finite
                     # n range
-                    tails.append((w, z, takes, _stable_up_to(lcps, window)))
+                    tails.append((w, z, tuple(takes),
+                                  _stable_up_to(lcps, window)))
                     if _diverges(lcps):
                         pair = BadPair(u, v, w, w, up_word((), z),
                                        up_word((), z), Divergent("left"))
                         return BadPairFound(pair)
-            for (w, z, ta, sa), (wp, zp, tb, sb) in \
-                    itertools.combinations(tails, 2):
-                # the positions mismatched so far, least first
-                common = range(min(sa, sb))
-                for a, b in zip(ta, tb):
-                    common = [i for i in common if a[i] != b[i]]
-                    if not common:
-                        break
-                if common:
-                    pair = BadPair(u, v, w, wp, up_word((), z),
-                                   up_word((), zp), MismatchAt(common[0]))
-                    return BadPairFound(pair)
+            found = _first_mismatch(tails)
+            if found is not None:
+                (w, z, _, _), (wp, zp, _, _), pos = found
+                pair = BadPair(u, v, w, wp, up_word((), z),
+                               up_word((), zp), MismatchAt(pos))
+                return BadPairFound(pair)
     return NoneUpTo(bound)
 
 
@@ -313,7 +382,9 @@ def random_instance(seed: int, profile: Tuple[int, int, int, int]
     out_letters = "abcdefgh"[:n_out]
     rng = random.Random(seed)
     while True:
-        build = _build_halves if rng.random() < 0.5 else _build_free
+        # two halves need two states; the builder is drawn all the same
+        halves = rng.random() < 0.5 and n_states > 1
+        build = _build_halves if halves else _build_free
         s, tr, i, f = build(rng, n_states, letters, out_letters, max_out)
         t = trim_transducer(transducer(letters, out_letters, s, tr, i, f))
         if not t.states or not t.transitions:

@@ -1,19 +1,22 @@
 import hashlib
 import inspect
+import itertools
 import sys
 
 import pytest
 
+from omegacont import oracle, words
 from omegacont.buchi import all_up_words
 from omegacont.fixtures import branch_switch, prefix_doubler, stem_doubler
 from omegacont.oneway import (EpsilonLoopOutput, decide_continuity, eval_up,
                               transducer)
 from omegacont.oracle import (
     DEFAULT_PROFILE, BadPair, BadPairFound, Divergent, MismatchAt, NoneUpTo,
-    _evaluator, brute_force_check, random_instance, recheck_bad_pair,
+    _diverges, _evaluator, _stable_up_to, _window, _window_lcp,
+    brute_force_check, random_instance, recheck_bad_pair,
 )
 from omegacont.textio import serialize
-from omegacont.words import up_word, words_up_to
+from omegacont.words import up_lcp, up_word, words_up_to
 from conftest import SILENT_LOOP, silent_loop_draws
 from test_lasso_reference import MACHINES as LASSO_MACHINES
 
@@ -83,6 +86,58 @@ class TestBruteForce:
         assert not recheck_bad_pair(branch_switch(), twinned)
 
 
+class TestWindows:
+    """brute_force_check reads every image and every lcp of two images
+    off the image's first window symbols."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_capped_lcp(self, bound):
+        window = 4 * (bound + 2)
+
+        def cap(l):
+            return window if l is None else min(l, window)
+
+        # a common stem shifts every lcp, so that exact lcps below,
+        # at and beyond the window all occur
+        ups = list(all_up_words("ab", 3, 2))
+        for shift in (0, window - 2, window):
+            stem = ("a",) * shift
+            for x, y in itertools.product(ups, repeat=2):
+                x2 = up_word(stem + x.prefix, x.period)
+                y2 = up_word(stem + y.prefix, y.period)
+                a = _window(stem + x.prefix, x.period, window)
+                b = _window(stem + y.prefix, y.period, window)
+                assert a == x2.take(window) and b == y2.take(window)
+                assert _window_lcp(a, b) == cap(up_lcp(x2, y2)), (x2, y2)
+        # the consumers answer the same on capped lcp lists; these
+        # values include every kind of lcp relative to the window
+        n_max = 2 * bound + 2
+        values = (None, 0, n_max - 1, window - 1, window, window + 1)
+        for lcps in itertools.product(values, repeat=n_max - 1):
+            capped = [cap(l) for l in lcps]
+            assert _diverges(capped) == _diverges(lcps), lcps
+            assert _stable_up_to(capped, window) == \
+                _stable_up_to(lcps, window), lcps
+
+    def test_no_image_normalised(self, monkeypatch):
+        calls = {"up_lcp": 0, "UPWord": 0}
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        lcp = counted("up_lcp", words.up_lcp)
+        monkeypatch.setattr(words, "up_lcp", lcp)
+        monkeypatch.setattr(oracle, "up_lcp", lcp)
+        # counts every UPWord built, by up_word or directly
+        monkeypatch.setattr(words.UPWord, "__post_init__",
+                            counted("UPWord", words.UPWord.__post_init__))
+        assert brute_force_check(prefix_doubler(), "cont", 2) == NoneUpTo(2)
+        assert calls == {"up_lcp": 0, "UPWord": 0}
+
+
 class TestRandomInstance:
     def test_reproducible(self):
         assert random_instance(17) == random_instance(17)
@@ -99,6 +154,13 @@ class TestRandomInstance:
         assert len(t.states) <= 3
         assert t.alphabet <= {"a", "b"}
         assert all(len(g) <= 1 for (_, _, _, g) in t.transitions)
+
+    @pytest.mark.parametrize("profile", [(1, 2, 2, 2), (1, 1, 1, 1),
+                                         (1, 3, 2, 1)])
+    def test_one_state_profile(self, profile):
+        # a 1-state profile cannot be split into two halves
+        for s in range(40):
+            assert len(random_instance(s, profile).states) <= 1, s
 
     def test_draws_pinned(self):
         # functionality_check(t, bound=8) filters the draws, so a change

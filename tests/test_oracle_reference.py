@@ -4,9 +4,11 @@ The reference below is the earlier search, kept as it was: it expands
 every image of a family symbol by symbol, compares images with a
 per-symbol lcp scan, recomputes all three pairwise lcps of the last
 three samples, and evaluates each normalised word once through eval_up
-(the _evaluator below).  The current search expands each image once
-per call with slices, computes each consecutive lcp once and reads
-one-way images off per-call prefix and period tables; it must report
+or eval_up_2way (the _evaluator below).  The current search never
+normalises a one-way image: it reads each image as its first window
+symbols off an un-normalised (stem, loop) output pair, takes the lcp
+of consecutive images off those windows, capped at the window, and
+decides each pair of distinct family signatures once; it must report
 the same result, bad pair and evidence included.
 """
 
@@ -15,8 +17,9 @@ from math import lcm
 
 import pytest
 
-from omegacont.fixtures import (branch_switch, prefix_doubler, stem_doubler,
-                                tail_classifier)
+from omegacont.fixtures import (block_doubler, branch_switch, prefix_doubler,
+                                prefix_doubler_2way, stem_doubler,
+                                tail_classifier, tail_classifier_2way)
 from omegacont.oneway import EpsilonLoopOutput, Transducer, eval_up
 from omegacont.oracle import (BadPair, BadPairFound, Divergent, MismatchAt,
                               NoneUpTo, _diverges, brute_force_check,
@@ -145,6 +148,24 @@ def test_brute_force_check_matches_reference(name, t):
             assert repr(brute_force_check(t, variant, bound)) == \
                 repr(ref_brute_force_check(t, variant, bound)), \
                 (variant, bound)
+
+
+# the two-way fixtures other than j, which is in MACHINES; dbl "cont" at
+# bound 2, about 60 s for both searches, is left out
+TWO_WAY_CASES = [
+    (name, t, variant, bound)
+    for name, t in (("dbl", block_doubler()),
+                    ("t_c_2way", prefix_doubler_2way()),
+                    ("f_inf", tail_classifier_2way()))
+    for variant in ("cont", "ucont") for bound in (1, 2)
+    if (name, variant, bound) != ("dbl", "cont", 2)]
+
+
+@pytest.mark.parametrize("name,t,variant,bound", TWO_WAY_CASES,
+                         ids=[f"{n}-{v}-{b}" for n, _, v, b in TWO_WAY_CASES])
+def test_two_way_matches_reference(name, t, variant, bound):
+    assert repr(brute_force_check(t, variant, bound)) == \
+        repr(ref_brute_force_check(t, variant, bound))
 
 
 def test_reference_covers_every_result():
