@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("u")
     sp.add_argument("v")
 
-    sp = add("witness", cmd_witness,
-             help="bounded discontinuity witness search (two-way)")
+    sp = add("witness", cmd_witness, help="bounded discontinuity witness "
+             "search (two-way); plain-machine cont is settled by theorem")
     sp.add_argument("file")
     sp.add_argument("--variant", choices=("cont", "ucont"), default="cont")
     sp.add_argument("--bound", default="3,3,3",

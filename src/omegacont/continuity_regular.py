@@ -9,7 +9,9 @@ input families u1 u2^n u3 ... and u1' u2'^n u3' ... then converge to a
 common limit while the outputs stay apart.  The continuity variant
 additionally requires the limit itself to be in the domain.  A returned
 witness proves non-(uniform-)continuity; exhausting the bounds proves
-nothing.
+nothing.  The one exception is "cont" on a plain machine, which is
+settled by a theorem rather than searched: a deterministic two-way
+machine without look-ahead is continuous (see search_witness).
 
 Machines with look-ahead are searched after look-ahead elimination, so
 the words carry look-ahead annotations and "same projection" is a real
@@ -114,10 +116,6 @@ class _PlainSpace:
 
     def pref_member(self, w: Word) -> bool:
         return self.oracle.pref_member(w)
-
-    def limit_in_domain(self, u1: Word, u2: Word) -> bool:
-        return isinstance(eval_up_2way(self.machine, up_word(u1, u2)),
-                          Output)
 
     def groups(self, bounds: SearchBounds):
         # (u1, u2) is kept when no automorphism maps it below itself:
@@ -244,7 +242,9 @@ def _verify(space, w: RegularWitness, n: int, pref,
     i = w.mismatch_position
     if i >= len(rhos[0]) or i >= len(rhos[1]) or rhos[0][i] == rhos[1][i]:
         return False
-    if w.variant == "cont" and not space.limit_in_domain(w.u1, w.u2):
+    # a plain machine has no "cont" witness (see search_witness)
+    if w.variant == "cont" and (isinstance(space, _PlainSpace)
+                                or not space.limit_in_domain(w.u1, w.u2)):
         return False
     # the mismatch persists through pumping
     for k in range(1, n + 1):
@@ -262,7 +262,9 @@ def _verify(space, w: RegularWitness, n: int, pref,
 def verify_witness(t, w: RegularWitness, n: int = 4,
                    state_cap: int = 12, ext_bound: int = 4) -> bool:
     """Recheck every witness condition and that the output mismatch
-    persists at the witness position for 1..n copies of the loops."""
+    persists at the witness position for 1..n copies of the loops.  A
+    "cont" witness on a plain machine is False: there is none (see
+    search_witness)."""
     space = _make_space(t, state_cap, ext_bound)
     return _verify(space, w, n, space.pref_member,
                    BlockSummaries(space.machine))
@@ -279,10 +281,32 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
     values form a prefix chain is skipped: no pair of its entries
     mismatches, so the order and the first witness are unchanged.
     One BlockSummaries serves every rho of the search and its checks.
+
+    "cont" on a plain TwoWayTransducer (marked or not) is not searched:
+    it returns NoWitnessUpTo at once, with the pref_exact of the oracle
+    the search would have used, because such a machine computes a
+    continuous function.  Proof.  Let f be the machine's function, x in
+    dom f and k >= 0.  The run on x is accepting, so its output is
+    infinite and it has written f(x)[:k] by some finite step T.  Up to
+    T the head has visited finitely many cells, all below some n.  The
+    machine is deterministic and reads nothing but the tape, so the run
+    on any x' in dom f that agrees with x below cell n makes the same
+    steps up to T and writes the same f(x')[:k] = f(x)[:k].  That is
+    continuity at x.  Hence no witness can be verified: its two
+    families u1 u2^m u3 ... and u1 u2^m u3' ... (the projection is the
+    identity, so u1 = u1' and u2 = u2') converge to u1 u2^omega, which
+    the "cont" variant requires to lie in dom f, while their images
+    keep distinct symbols at one fixed position; continuity at the
+    limit makes both agree with its image there once m is large.  The
+    argument takes no bound.  It says nothing about uniform
+    continuity, and nothing about a look-ahead machine, whose
+    annotation depends on the whole future; both keep the search.
     """
     if variant not in ("cont", "ucont"):
         raise ValueError(f"unknown variant {variant!r}")
     space = _make_space(t, state_cap, ext_bound)
+    if variant == "cont" and isinstance(space, _PlainSpace):
+        return NoWitnessUpTo(bounds, space.pref_exact)
     summaries = BlockSummaries(space.machine)
     pref_cache: Dict[Word, bool] = {}
 

@@ -5,8 +5,11 @@ u v^n w z^omega and u v^n w' z'^omega whose inputs converge (they share
 the prefix u v^n) while the images keep a mismatch at a fixed position
 or one family's images fail to converge at all.  Finding one disproves
 continuity at u v^omega (when that limit is in the domain) or uniform
-continuity (unconditionally).  The search is bounded and only its
-positive answers are definite.
+continuity (unconditionally).  The search is bounded and samples
+finitely many images per family, so neither answer is definite: a
+reported pair is a candidate until recheck_bad_pair confirms it (an
+image whose output has not settled within the sampled n can make a
+pair mismatch on a continuous machine).
 
 Each call reads its images through one _reader, whose tables live
 only as long as the call: on a one-way machine, the states and outputs
@@ -232,10 +235,12 @@ def brute_force_check(machine, variant: str, bound: int):
     most bound; BadPairFound(pair) or NoneUpTo(bound).
 
     Images are sampled at n = 1..2*bound+2 and compared on a fixed
-    window of 4*(bound+2) symbols, so only positive answers are
-    conclusive.  They are read by one _reader built for the call, on
-    the words as enumerated; a one-way machine must be functional.  A
-    bound below 1 raises ValueError.
+    window of 4*(bound+2) symbols, so no answer is conclusive: a
+    reported pair is a candidate until recheck_bad_pair confirms it,
+    and NoneUpTo rules out only pairs the samples would show.  The
+    images are read by one _reader built for the call, on the words as
+    enumerated; a one-way machine must be functional.  A bound below 1
+    raises ValueError.
 
     Each image is handled as its first window symbols only.  So is
     every lcp of two consecutive images: read off their windows, it is

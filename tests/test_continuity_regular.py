@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from omegacont import lookahead
+from omegacont import cli, continuity_regular, lookahead, loops, twoway
 from omegacont.continuity_regular import (
     NoWitnessUpTo, NotContinuous, RegularWitness, SearchBounds, _apply,
     _PlainSpace, alphabet_automorphisms, search_witness, verify_witness,
@@ -13,6 +13,7 @@ from omegacont.fixtures import (
     stem_doubler, tail_classifier, tail_classifier_2way,
 )
 from omegacont.oneway import decide_continuity
+from omegacont.textio import fixture_path
 from omegacont.twoway import TwoWayTransducer, two_way
 from omegacont.words import up_equal, up_word, words_up_to
 from test_loops import random_two_way
@@ -79,6 +80,31 @@ class TestSearchWitness:
         got = search_witness(t, "cont", SearchBounds(2, 2, 2))
         assert isinstance(got, NoWitnessUpTo)
 
+    def test_plain_cont_not_searched(self, monkeypatch, capsys):
+        # a plain machine is continuous: "cont" walks no block and
+        # evaluates no word, and answers as the search did
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(loops.BlockSummaries, "_walk", counted(
+            "_walk", loops.BlockSummaries._walk))
+        for module in (twoway, continuity_regular):
+            monkeypatch.setattr(module, "eval_up_2way", counted(
+                "eval_up_2way", twoway.eval_up_2way))
+        got = search_witness(block_doubler(), "cont")
+        assert repr(got) == ("NoWitnessUpTo(bounds=SearchBounds(max_len_u1=3, "
+                             "max_len_u2=3, max_len_u3=3, verify_n=4), "
+                             "pref_exact=True)")
+        code = cli.main(["check-cont", fixture_path("dbl")])
+        assert (code, capsys.readouterr().out) == (
+            2, "no witness up to bounds 3,3,3\n")
+        assert calls == []
+
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError):
             search_witness(block_doubler(), "both", SearchBounds(1, 1, 1))
@@ -112,6 +138,13 @@ class TestVerifyWitness:
         t, w = self.witness()
         assert not verify_witness(t, dataclasses.replace(
             w, u2=(), u2p=()), 4)
+
+    def test_plain_cont_witness_rejected(self):
+        # dbl is not uniformly continuous, but it is continuous
+        t = block_doubler()
+        w = search_witness(t, "ucont").witness
+        assert verify_witness(t, w)
+        assert not verify_witness(t, dataclasses.replace(w, variant="cont"))
 
 
 class TestOneWayConsistency:
