@@ -54,6 +54,20 @@ class BuchiAutomaton:
     def successors(self, q: State, a) -> FrozenSet[State]:
         return self._index[1].get((q, a), frozenset())
 
+    @cached_property
+    def _period_states(self):
+        return {}
+
+    def period_states(self, period) -> FrozenSet[State]:
+        """The states from which the automaton accepts period^omega,
+        found once per period."""
+        table = self._period_states
+        if period not in table:
+            x = UPWord((), period)
+            table[period] = frozenset(
+                q for q in self.states if member_up(self, x, from_states=[q]))
+        return table[period]
+
 
 def _index_transitions(transitions):
     """One pass over (state, symbol, target) transitions: the outgoing

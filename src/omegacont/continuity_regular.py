@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .lookahead import MultipleStates, NoState, good_annotation
@@ -30,7 +31,7 @@ from .loops import BlockSummaries, NotIdempotent, NotInPrefDomain
 from .twoway import (ENDMARKER, DomainOracle, Output, TwoWayPLA,
                      TwoWayTransducer, eval_up_2way, run_finite,
                      sampled_extensions)
-from .words import Word, mismatch, up_word, words_up_to
+from .words import UPWord, Word, mismatch, up_word, words_up_to
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,11 @@ def alphabet_automorphisms(t: TwoWayTransducer) -> List[Dict]:
     found = []
     for image in itertools.permutations(letters):
         m = dict(zip(letters, image))
-        moved = {(q, m.get(a, a)): (r, tuple(m.get(c, c) for c in g), d)
-                 for (q, a), (r, g, d) in t.delta.items()}
-        if moved == t.delta:
+        # m is one-to-one on symbols, so every entry moved onto an
+        # equal entry means the moved table is the table
+        if all(t.delta.get((q, m.get(a, a)))
+               == (r, tuple(m.get(c, c) for c in g), d)
+               for (q, a), (r, g, d) in t.delta.items()):
             found.append(m)
     return found
 
@@ -100,7 +103,9 @@ class _PlainSpace:
     are plain, the projection is the identity, and (u1, u2) pairs are
     quotiented by alphabet automorphisms: any witness maps to a witness
     under an automorphism, so searching one representative per orbit
-    loses nothing."""
+    loses nothing.  The automorphisms are found when groups first needs
+    them, and groups generates the pairs one total length at a time, so
+    a search that stops early builds no longer pair."""
 
     def __init__(self, t: TwoWayTransducer, state_cap: int = 12,
                  ext_bound: int = 4):
@@ -109,7 +114,10 @@ class _PlainSpace:
                                    ext_bound=ext_bound)
         self.pref_exact = self.oracle.exact
         self.letters = sorted(t.alphabet)
-        self.autos = alphabet_automorphisms(t)
+
+    @cached_property
+    def autos(self) -> List[Dict]:
+        return alphabet_automorphisms(self.machine)
 
     def project(self, w: Word) -> Word:
         return tuple(w)
@@ -120,19 +128,37 @@ class _PlainSpace:
     def groups(self, bounds: SearchBounds):
         # (u1, u2) is kept when no automorphism maps it below itself:
         # none maps u1 below u1, and none of u1's stabiliser maps u2
-        # below u2
-        pairs = []
-        for u1 in words_up_to(self.letters, 0, bounds.max_len_u1):
-            images = [(_apply(m, u1), m) for m in self.autos]
-            if any(v < u1 for v, _ in images):
-                continue
-            fixing = [m for v, m in images if v == u1]
-            for u2 in words_up_to(self.letters, 1, bounds.max_len_u2):
-                if not any(_apply(m, u2) < u2 for m in fixing):
-                    pairs.append((u1, u2))
-        pairs.sort(key=lambda p: (len(p[0]) + len(p[1]), p))
-        for pair in pairs:
-            yield pair, [pair]
+        # below u2.  Bit i of a word's masks stands for autos[i]: the
+        # ones mapping it below itself, and the ones fixing it.
+        masks: Dict[Word, Tuple[int, int]] = {}
+
+        def below_fixing(w: Word) -> Tuple[int, int]:
+            if w not in masks:
+                below = fixing = 0
+                for i, m in enumerate(self.autos):
+                    v = _apply(m, w)
+                    if v < w:
+                        below |= 1 << i
+                    elif v == w:
+                        fixing |= 1 << i
+                masks[w] = (below, fixing)
+            return masks[w]
+
+        # automorphisms keep lengths, so this is the order of
+        # (len(u1) + len(u2), u1, u2): sorted u1, and the u2 of one
+        # length in product order
+        firsts = sorted(words_up_to(self.letters, 0, bounds.max_len_u1))
+        for total in range(1, bounds.max_len_u1 + bounds.max_len_u2 + 1):
+            for u1 in firsts:
+                k = total - len(u1)
+                if not 1 <= k <= bounds.max_len_u2:
+                    continue
+                below, fixing = below_fixing(u1)
+                if below:
+                    continue
+                for u2 in words_up_to(self.letters, k, k):
+                    if not below_fixing(u2)[0] & fixing:
+                        yield (u1, u2), [(u1, u2)]
 
     def thirds(self, u1: Word, u2: Word, bounds: SearchBounds):
         return list(words_up_to(self.letters, 0, bounds.max_len_u3))
@@ -142,7 +168,9 @@ class _AnnotatedSpace:
     """Candidate enumeration for a machine with prophetic look-ahead,
     running on the eliminated machine over (letter, class) symbols.
     Only annotation chains consistent with the look-ahead's transitions
-    are generated; u2 must additionally be able to follow itself."""
+    are generated; u2 must additionally be able to follow itself.  The
+    symbols that may follow a symbol, the u3 parts after a u2 and the
+    domain answer for a limit are each found once per space."""
 
     def __init__(self, t: TwoWayPLA, ext_bound: int = 4):
         self.original = t
@@ -153,19 +181,24 @@ class _AnnotatedSpace:
         # Pref(dom) goes through bounded ultimately-periodic extensions
         # of the projected word: sound for yes-answers only.
         self.pref_exact = False
+        self._next: Dict = {}
+        self._thirds: Dict = {}
+        self._limits: Dict[UPWord, bool] = {}
 
     def project(self, w: Word) -> Word:
         return tuple(a for (a, _) in w)
 
     def _next_symbols(self, last) -> List:
-        a, p = last
-        out = []
-        for p2 in sorted(self.p_aut.successors(p, a)):
-            for b in self.letters:
-                if self.p_aut.successors(p2, b):
-                    out.append((b, p2))
-        out.sort()
-        return out
+        if last not in self._next:
+            a, p = last
+            out = []
+            for p2 in sorted(self.p_aut.successors(p, a)):
+                for b in self.letters:
+                    if self.p_aut.successors(p2, b):
+                        out.append((b, p2))
+            out.sort()
+            self._next[last] = out
+        return self._next[last]
 
     def _chains(self, starts, lo: int, hi: int) -> List[Word]:
         level = [(s,) for s in sorted(starts)]
@@ -192,7 +225,10 @@ class _AnnotatedSpace:
 
     def limit_in_domain(self, u1: Word, u2: Word) -> bool:
         x = up_word(self.project(u1)[1:], self.project(u2))
-        return isinstance(eval_up_2way(self.original, x), Output)
+        if x not in self._limits:
+            self._limits[x] = isinstance(eval_up_2way(self.original, x),
+                                         Output)
+        return self._limits[x]
 
     def groups(self, bounds: SearchBounds):
         starts = [(ENDMARKER, p) for p in sorted(self.p_aut.states)
@@ -210,8 +246,11 @@ class _AnnotatedSpace:
             yield key, sorted(grouped[key])
 
     def thirds(self, u1: Word, u2: Word, bounds: SearchBounds):
-        return [()] + self._chains(self._next_symbols(u2[-1]), 1,
-                                   bounds.max_len_u3)
+        key = (u2[-1], bounds.max_len_u3)
+        if key not in self._thirds:
+            self._thirds[key] = [()] + self._chains(
+                self._next_symbols(u2[-1]), 1, bounds.max_len_u3)
+        return self._thirds[key]
 
 
 def _make_space(t, state_cap: int = 12, ext_bound: int = 4):
@@ -280,7 +319,11 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
     u3 parts likewise within each group.  A group whose distinct rho
     values form a prefix chain is skipped: no pair of its entries
     mismatches, so the order and the first witness are unchanged.
-    One BlockSummaries serves every rho of the search and its checks.
+    A plain machine's pairs are generated one total length at a time,
+    so the search builds no pair longer than the one its witness is
+    found in.  One BlockSummaries serves every rho of the search and
+    its checks; a look-ahead machine's period states come from its
+    automaton's table (see good_annotation).
 
     "cont" on a plain TwoWayTransducer (marked or not) is not searched:
     it returns NoWitnessUpTo at once, with the pref_exact of the oracle

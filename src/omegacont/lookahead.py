@@ -13,7 +13,7 @@ infinitely often.
 
 from __future__ import annotations
 
-from .buchi import BuchiAutomaton, member_up
+from .buchi import BuchiAutomaton
 from .twoway import TwoWayPLA, TwoWayTransducer
 from .words import UPWord
 
@@ -35,7 +35,9 @@ def good_annotation(p: BuchiAutomaton, x: UPWord) -> UPWord:
     accepts a y exactly when one of its a-successors accepts y, so once
     the states accepting the suffix after the period's last letter (the
     period again) are known, each position's states are the
-    predecessors of the next position's, found backwards.  NoState or
+    predecessors of the next position's, found backwards.  The states
+    accepting the period depend on the period alone, so they come from
+    p's table (BuchiAutomaton.period_states).  NoState or
     MultipleStates names the first position without exactly one state.
     """
     pre, per = x.prefix, x.period
@@ -44,8 +46,7 @@ def good_annotation(p: BuchiAutomaton, x: UPWord) -> UPWord:
         return UPWord(pre[i:], per) if i < len(pre) else \
             UPWord(per[i - len(pre):], per)
 
-    after = {q for q in p.states if member_up(p, UPWord((), per),
-                                              from_states=[q])}
+    after = p.period_states(per)
     fitting = []
     for a in reversed(pre + per):
         if not after:

@@ -197,9 +197,59 @@ class TestAutomorphisms:
         for t in machines:
             space = _PlainSpace(t)
             symmetric += len(space.autos) > 1
-            bounds = SearchBounds(3, 3, 1)
-            assert list(space.groups(bounds)) == by_min(space, bounds)
+            for bounds in (SearchBounds(3, 3, 1), SearchBounds(1, 3, 2),
+                           SearchBounds(2, 1, 3)):
+                assert list(space.groups(bounds)) == by_min(space, bounds)
         assert symmetric > 20
+
+
+class TestWorkDone:
+    """The search finds each fact once, and only when it needs it."""
+
+    def test_plain_cont_finds_no_automorphism(self, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return alphabet_automorphisms(t)
+
+        monkeypatch.setattr(continuity_regular, "alphabet_automorphisms",
+                            counted)
+        got = search_witness(block_doubler(), "cont")
+        assert isinstance(got, NoWitnessUpTo)
+        assert calls == []
+
+    def test_ucont_stops_at_first_pair(self, monkeypatch):
+        # the witness lies in the first group, (), (#): no automorphism
+        # is applied to a word of a longer pair
+        lengths = []
+
+        def counted(m, w):
+            lengths.append(len(w))
+            return _apply(m, w)
+
+        monkeypatch.setattr(continuity_regular, "_apply", counted)
+        got = search_witness(block_doubler(), "ucont")
+        assert repr(got) == (
+            "NotContinuous(witness=RegularWitness(u1=(), u2=('#',), "
+            "u3=('#', 'a'), u1p=(), u2p=('#',), u3p=('#', 'b'), "
+            "mismatch_position=0, variant='ucont'), pref_exact=True)")
+        assert lengths and max(lengths) <= 1
+
+    @pytest.mark.parametrize("make", [stem_doubler, prefix_doubler_2way],
+                             ids=["j", "t_c_2way"])
+    def test_each_limit_evaluated_once(self, make, monkeypatch):
+        limits = []
+
+        def counted(t, x):
+            limits.append(x)
+            return evaluate(t, x)
+
+        evaluate = continuity_regular.eval_up_2way
+        monkeypatch.setattr(continuity_regular, "eval_up_2way", counted)
+        search_witness(make(), "cont")
+        assert limits
+        assert len(limits) == len(set(limits))
 
 
 def _swap_symmetric(t: TwoWayTransducer) -> TwoWayTransducer:

@@ -1,5 +1,6 @@
 import pytest
 
+from omegacont import buchi, cli, lookahead
 from omegacont.buchi import all_up_words, is_empty, member_up, trim
 from omegacont.fixtures import (
     ENDMARKER, block_doubler, p_letter_count, p_suffix_shape,
@@ -14,7 +15,7 @@ from omegacont.twoway import (
     DomainOracle, NotInDomain, Output, StateCapExceeded, eval_up_2way,
     domain_nba, run_finite, two_way, two_way_to_nba,
 )
-from omegacont.words import UPWord, up_equal, up_word
+from omegacont.words import UPWord, up_equal, up_word, words_up_to
 
 
 def word_str(w):
@@ -198,6 +199,37 @@ class TestGoodAnnotationReference:
         t = parse_spec(text).machine
         kinds = self._check(t.lookahead.automaton, "ab")
         assert kinds == {"value", "MultipleStates"}
+
+
+class TestPeriodStates:
+    """good_annotation reads the states accepting a period off the
+    look-ahead automaton's table, which searches each period once."""
+
+    def test_table_matches_member_up(self):
+        for t in (stem_doubler(), tail_classifier_2way(),
+                  prefix_doubler_2way()):
+            p = t.lookahead.automaton
+            for per in words_up_to(sorted(t.alphabet), 1, 3):
+                x = UPWord((), per)
+                want = {q for q in p.states
+                        if member_up(p, x, from_states=[q])}
+                assert p.period_states(per) == want, per
+
+    def test_mismatch_searches_each_period_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(b, x, from_states=None):
+            calls.append(x)
+            return member_up(b, x, from_states)
+
+        # patched in every module that holds a binding of member_up
+        monkeypatch.setattr(buchi, "member_up", counted)
+        monkeypatch.setattr(lookahead, "member_up", counted, raising=False)
+        code = cli.main(["mismatch", fixture_path("t_c_2way"), "aa", "a"])
+        assert (code, capsys.readouterr().out) == (
+            2, "unknown up to ext-bound 4\n")
+        # 105 distinct periods, one search per look-ahead state each
+        assert 0 < len(calls) <= 840
 
 
 class TestEliminateLookahead:
