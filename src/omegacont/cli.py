@@ -18,7 +18,8 @@ from .loops import NotIdempotent, NotInPrefDomain, decompose, rho
 from .oneway import (EpsilonLoopOutput, Transducer, decide_continuity,
                      domain_automaton, eval_up, functionality_check,
                      trim_transducer)
-from .oracle import BadPairFound, brute_force_check, random_instance
+from .oracle import (BadPairFound, brute_force_check, random_instance,
+                     recheck_bad_pair)
 from .stream_eval import (DeadInput, mismatch_verdict, stream_start,
                           stream_step)
 from .textio import (ParseError, ValidationError, format_up, format_word,
@@ -231,16 +232,20 @@ def cmd_oracle(args) -> int:
     if isinstance(m, BuchiAutomaton):
         return _data_error("the oracle needs a transducer")
     got = brute_force_check(m, args.variant, args.bound)
-    if isinstance(got, BadPairFound):
-        p = got.pair
-        print("bad pair found")
-        print(f"  u = {format_word(p.u)}  v = {format_word(p.v)}")
-        print(f"  w = {format_word(p.w)}  z = {format_up(p.z)}")
-        print(f"  w' = {format_word(p.wp)}  z' = {format_up(p.zp)}")
-        print(f"  evidence: {p.evidence}")
-        return 1
-    print(f"none up to bound {got.bound}")
-    return 2
+    if not isinstance(got, BadPairFound):
+        print(f"none up to bound {got.bound}")
+        return 2
+    # a reported pair is only a candidate until a direct recheck of its
+    # images confirms it
+    p = got.pair
+    confirmed = recheck_bad_pair(m, p)
+    print("bad pair found" if confirmed
+          else "candidate bad pair, not confirmed by recheck")
+    print(f"  u = {format_word(p.u)}  v = {format_word(p.v)}")
+    print(f"  w = {format_word(p.w)}  z = {format_up(p.z)}")
+    print(f"  w' = {format_word(p.wp)}  z' = {format_up(p.zp)}")
+    print(f"  evidence: {p.evidence}")
+    return 1 if confirmed else 2
 
 
 def cmd_gen(args) -> int:

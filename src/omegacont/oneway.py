@@ -370,10 +370,11 @@ def decide_continuity(t: Transducer, variant: str = "cont"
         return out
 
     parts = {}  # the goal is tested on every edge, the pattern once a node
+    dead = set()  # tails nodes that reach no mismatch, see _pattern
 
     def found(node):
         if node not in parts:
-            parts[node] = _pattern(t, node, variant, bound)
+            parts[node] = _pattern(t, node, variant, bound, dead)
         return parts[node] is not None
 
     path = bfs_path([None], succ, found)
@@ -383,9 +384,11 @@ def decide_continuity(t: Transducer, variant: str = "cont"
     return _build_witness(t, labels[1:], *parts[nodes[-1]])
 
 
-def _pattern(t, node, variant, bound):
+def _pattern(t, node, variant, bound, dead):
     """The pattern's parts at a paired-run node (q1, q2, status), as
-    (v labels, w1 labels, r1, w labels, r2), or None."""
+    (v labels, w1 labels, r1, w labels, r2), or None.  dead is the set
+    of _pair_mismatching_tails nodes known to reach no mismatch, kept
+    for one decide_continuity call."""
     q1, q2, status = node
     need_final = (variant == "cont")
     if status == MM:
@@ -403,7 +406,8 @@ def _pattern(t, node, variant, bound):
         # Both loops silent, mismatching tails on both sides.
         cyc = _pair_cycle(t, q1, q2, need_final=False, eps1=True, eps2=True)
         if cyc is not None:
-            tails = _pair_mismatching_tails(t, q1, q2, status, bound)
+            tails = _pair_mismatching_tails(t, q1, q2, status, bound,
+                                            dead)
             if tails is not None:
                 return (cyc,) + tails
     return None
@@ -490,15 +494,28 @@ def _mismatching_tail(t, q2, pending: Word):
     return labels, nodes[-1][0]
 
 
-def _pair_mismatching_tails(t, q1, q2, status, bound):
+def _pair_mismatching_tails(t, q1, q2, status, bound, dead):
     """Independent tails w1 from q1 and w2 from q2 whose outputs,
     appended to the pending comparison status, mismatch.
 
     Returns (w1 labels, r1, w2 labels, r2) with (a, g) labels, or None.
     Interleaves single-side moves; the comparison status only depends
     on the output totals, not the interleaving.
+
+    dead holds the nodes that earlier failed searches reached: none of
+    them reaches a mismatch, so they are skipped, and a search that
+    fails adds every node it reached.  Everything a dead node reaches is
+    dead too, so no node that is not dead was first reached from a dead
+    one: skipping them keeps the breadth-first order of the other
+    nodes, and the path found is the one the full search finds.
     """
+    start = (q1, q2, status)
+    if start in dead:
+        return None
+    reached = []
+
     def succ(node):
+        reached.append(node)
         (s1, s2, st) = node
         moves = [(1, (a, g), (r, s2)) for (a, r, g) in t.out_arcs(s1)]
         moves += [(2, (a, g), (s1, r)) for (a, r, g) in t.out_arcs(s2)]
@@ -507,12 +524,13 @@ def _pair_mismatching_tails(t, q1, q2, status, bound):
             g = lab[1]
             st2 = advance_status(st, g if side == 1 else (),
                                  g if side == 2 else (), bound)
-            if st2 != OF:
+            if st2 != OF and (n1, n2, st2) not in dead:
                 out.append(((side, lab), (n1, n2, st2)))
         return out
 
-    path = bfs_path(((q1, q2, status),), succ, lambda n: n[2] == MM)
+    path = bfs_path((start,), succ, lambda n: n[2] == MM)
     if path is None:
+        dead.update(reached)
         return None
     nodes, labels = path
     w1 = tuple(l for (sd, l) in labels if sd == 1)

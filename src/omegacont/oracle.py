@@ -11,16 +11,23 @@ reported pair is a candidate until recheck_bad_pair confirms it (an
 image whose output has not settled within the sampled n can make a
 pair mismatch on a continuous machine).
 
-Each call reads its images through one _reader, whose tables live
-only as long as the call: on a one-way machine, the states and outputs
-reached on each input prefix and the lasso output from a state over a
-period, so that every family u v^n w z^omega shares the reading of
-u v^n; on a two-way machine, a memo of eval_up_2way by normalised word.
+Each call reads its images through tables that live only as long as
+the call.  On a one-way machine they are taken on emitting_runs, and
+every family u v^n w z^omega is split at u v^n: the states reached on
+u v^n, each with the output of its first run, are carried along one v
+at a time, and every state q has one row, built once per call, that
+gives for each tail (w, z) the output from q of an accepting run on
+w z^omega, as (stem, loop) outputs, or None.  The image at n is the
+output to the first state reached on u v^n whose row entry is not
+None, followed by that entry; the machine being functional, any such
+state gives the same image (see brute_force_check).  On a two-way
+machine the tables are a memo of eval_up_2way by normalised word.
 The search handles each image as its first window symbols, taken off
 the un-normalised (stem, loop) output pair, and reads the lcp of two
 images off their windows, capped at the window: every lcp it acts on
-lies below the window, so the cap changes no answer (see
-brute_force_check).  No window is kept across families or calls.
+lies below the window, so the cap changes no answer.  The lcps of a
+family, and what the search reads off them, are computed once per
+distinct tuple of windows in a call.  No window is kept across calls.
 
 Also provides a reproducible generator of small functional one-way
 transducers used by the differential tests.
@@ -78,16 +85,16 @@ def _reader(machine):
     finitely often.  The arguments are symbol tuples, not necessarily
     normalised either.
 
-    On a one-way machine the image is read off two tables, which live
-    as long as read: the states reached on each prefix read so far,
-    with one output per state, and the lasso output from a state over a
-    period.  Both are taken on emitting_runs, every accepting run of
-    which emits forever and, the machine being functional, has the
-    image as its output; so the image is that of the first reached
-    state with an accepting lasso.  A two-way machine's images are
-    memoised by the normalised word."""
+    A one-way machine is read on emitting_runs: the states reached on
+    the prefix (_step), then the lasso output over the period from the
+    first of them that has one (_first_image).  A two-way machine's
+    images are memoised by the normalised word.  Either table lives as
+    long as read."""
     if isinstance(machine, Transducer):
-        return _oneway_reader(emitting_runs(machine))
+        t = emitting_runs(machine)
+        start, tail = _start(t), _tails(t)
+        return lambda prefix, period: _first_image(
+            _step(t, start, prefix), tail, period)
     memo = {}
 
     def read(prefix, period):
@@ -113,29 +120,32 @@ def _evaluator(machine):
     return ev
 
 
-def _oneway_reader(t: Transducer):
-    # prefix -> {state: output so far}, in the order of initial states
-    # by repr, then of arcs, so no answer depends on string hashing
-    reach = {(): {q: () for q in sorted(t.initial, key=repr)}}
-    tails = {}  # (state, period) -> (stem, loop) outputs, or None
+def _start(t: Transducer):
+    # the initial states by repr, so no answer depends on string hashing
+    return {q: () for q in sorted(t.initial, key=repr)}
 
-    def reached(prefix):
-        # read on from the longest prefix already read
-        k = len(prefix)
-        while prefix[:k] not in reach:
-            k -= 1
-        cur = reach[prefix[:k]]
-        for i in range(k, len(prefix)):
-            nxt = {}
-            for q, out in cur.items():
-                for r, g in t.arcs(q, prefix[i]):
-                    if r not in nxt:
-                        nxt[r] = out + g
-            cur = reach[prefix[:i + 1]] = nxt
-        return cur
+
+def _step(t: Transducer, reach, word):
+    """The states reached from reach (state -> output so far) on word,
+    each with the output of its first run, in the order of reach and
+    then of arcs."""
+    for a in word:
+        nxt = {}
+        for q, out in reach.items():
+            for r, g in t.arcs(q, a):
+                if r not in nxt:
+                    nxt[r] = out + g
+        reach = nxt
+    return reach
+
+
+def _tails(t: Transducer):
+    """tail(q, period): the (stem, loop) outputs of an accepting lasso
+    from q over period^omega, or None; memoised as long as tail."""
+    memo = {}
 
     def tail(q, period):
-        if (q, period) not in tails:
+        if (q, period) not in memo:
             n = len(period)
 
             def succ(node):
@@ -144,25 +154,94 @@ def _oneway_reader(t: Transducer):
                         for (r, g) in t.arcs(s, period[i])]
 
             lasso = find_lasso([(q, 0)], succ, lambda nd: nd[0] in t.final)
-            tails[q, period] = None if lasso is None else tuple(
+            memo[q, period] = None if lasso is None else tuple(
                 tuple(c for g in labels for c in g)
                 for labels in (lasso.stem_labels, lasso.loop_labels))
-        return tails[q, period]
+        return memo[q, period]
 
-    def read(prefix, period):
-        for q, out in reached(prefix).items():
-            got = tail(q, period)
-            if got is not None:
-                return out + got[0], got[1]
-        return None
+    return tail
 
-    return read
+
+def _first_image(reach, tail, period):
+    """out + stem, loop for the first state of reach with a lasso over
+    period, or None."""
+    for q, out in reach.items():
+        got = tail(q, period)
+        if got is not None:
+            return out + got[0], got[1]
+    return None
+
+
+def _families(machine, tails, n_max: int, window: int):
+    """families(u, v) -> (limit, windows): limit is the image of
+    u v^omega, as _reader gives it, and windows(k) the first window
+    symbols of the images of u v^n w z^omega for n = 1..n_max and
+    (w, z) = tails[k], as a tuple; or None once one image is None, so
+    that the later ones are not read.
+
+    On a one-way machine (read on emitting_runs) the states reached on
+    u v^n, each with its output, are carried along one v at a time,
+    and every state q reached has one row, built once per _families
+    call: for each tail (w, z), _first_image of q's states on w over
+    z, or None.  The image at n is the output to the first state of
+    u v^n whose row entry is not None, followed by that entry.  On a
+    two-way machine each word is read through one _reader."""
+    if not isinstance(machine, Transducer):
+        read = _reader(machine)
+
+        def two_way(u, v):
+            def windows(k):
+                w, z = tails[k]
+                takes = []
+                for n in range(1, n_max + 1):
+                    got = read(u + v * n + w, z)
+                    if got is None:
+                        return None
+                    takes.append(_window(*got, window))
+                return tuple(takes)
+            return read(u, v), windows
+
+        return two_way
+    t = emitting_runs(machine)
+    start, tail = _start(t), _tails(t)
+    rows = {}
+
+    def row(q):
+        if q not in rows:
+            rows[q] = [_first_image(_step(t, {q: ()}, w), tail, z)
+                       for w, z in tails]
+        return rows[q]
+
+    def one_way(u, v):
+        reach = _step(t, start, u)
+        limit = _first_image(reach, tail, v)
+        at = []
+        for _ in range(n_max):
+            reach = _step(t, reach, v)
+            at.append([(out, row(q)) for q, out in reach.items()])
+
+        def windows(k):
+            takes = []
+            for states in at:
+                for out, r in states:
+                    got = r[k]
+                    if got is not None:
+                        takes.append(_window(out + got[0], got[1], window))
+                        break
+                else:
+                    return None
+            return tuple(takes)
+
+        return limit, windows
+
+    return one_way
 
 
 def _window(stem: Word, loop: Word, n: int) -> Word:
     """The first n symbols of stem . loop^omega (loop non-empty)."""
-    k = max(0, -(-(n - len(stem)) // len(loop)))
-    return (stem + loop * k)[:n]
+    if len(stem) < n:
+        stem += loop * -(-(n - len(stem)) // len(loop))
+    return stem[:n]
 
 
 def _window_lcp(a: Word, b: Word) -> int:
@@ -238,9 +317,21 @@ def brute_force_check(machine, variant: str, bound: int):
     window of 4*(bound+2) symbols, so no answer is conclusive: a
     reported pair is a candidate until recheck_bad_pair confirms it,
     and NoneUpTo rules out only pairs the samples would show.  The
-    images are read by one _reader built for the call, on the words as
-    enumerated; a one-way machine must be functional.  A bound below 1
-    raises ValueError.
+    images are read by one _families built for the call, on the words
+    as enumerated; a one-way machine must be functional.  A bound below
+    1 raises ValueError.
+
+    On a one-way machine the image of u v^n w z^omega is read off the
+    states reached on u v^n and their per-state rows: the output o to
+    the first such state whose row entry (s, l) for (w, z) is not None,
+    then o s l^omega.  That is the image, whichever state comes first.
+    The rows are taken on emitting_runs, every accepting run of which
+    emits forever; the entry (s, l) is the output of such a run from
+    the state on w z^omega, so o s l^omega is the output of an
+    accepting run on the word, and on a functional machine every
+    accepting run outputs f(u v^n w z^omega).  When no state reached
+    has an entry, no run on the word is accepting, and the image is
+    None (the word is outside dom f).
 
     Each image is handled as its first window symbols only.  So is
     every lcp of two consecutive images: read off their windows, it is
@@ -249,7 +340,9 @@ def brute_force_check(machine, variant: str, bound: int):
     consumers answer the same on these capped lcps.  _diverges accepts
     only lcps below n+1 <= 2*bound+1 < window, so an lcp of window, at
     least window, or None all make it say no; _stable_up_to takes a min
-    with window, which neither changes.  Pairs of families are compared
+    with window, which neither changes.  A family's lcps, stable bound
+    and divergence depend only on its windows, so they are computed
+    once per distinct tuple of windows.  Pairs of families are compared
     once per pair of distinct signatures (_first_mismatch).  No table
     outlives the call.
     """
@@ -257,39 +350,39 @@ def brute_force_check(machine, variant: str, bound: int):
         raise ValueError(f"unknown variant {variant!r}")
     if bound < 1:
         raise ValueError(f"bound must be at least 1, not {bound}")
-    read = _reader(machine)
     letters = sorted(machine.alphabet)
     n_max = 2 * bound + 2
     window = 4 * (bound + 2)
+    tails_wz = list(itertools.product(words_up_to(letters, 0, bound),
+                                      words_up_to(letters, 1, bound)))
+    families = _families(machine, tails_wz, n_max, window)
+    summary = {}  # windows -> (stable bound, diverges)
 
     for u in words_up_to(letters, 0, bound):
         for v in words_up_to(letters, 1, bound):
-            if variant == "cont" and read(u, v) is None:
+            limit, windows = families(u, v)
+            if variant == "cont" and limit is None:
                 continue
             tails = []
-            for w in words_up_to(letters, 0, bound):
-                for z in words_up_to(letters, 1, bound):
-                    # a family with one image outside the domain is skipped,
-                    # so its later images need not be evaluated
-                    takes = []
-                    for n in range(1, n_max + 1):
-                        got = read(u + v * n + w, z)
-                        if got is None:
-                            break
-                        takes.append(_window(*got, window))
-                    if len(takes) < n_max:
-                        continue
+            for k, (w, z) in enumerate(tails_wz):
+                # a family with one image outside the domain is skipped
+                takes = windows(k)
+                if takes is None:
+                    continue
+                if takes not in summary:
                     lcps = [_window_lcp(a, b)
                             for a, b in zip(takes, takes[1:])]
                     # positions that have not stabilized across the last
                     # samples may mismatch as an artifact of the finite
                     # n range
-                    tails.append((w, z, tuple(takes),
-                                  _stable_up_to(lcps, window)))
-                    if _diverges(lcps):
-                        pair = BadPair(u, v, w, w, up_word((), z),
-                                       up_word((), z), Divergent("left"))
-                        return BadPairFound(pair)
+                    summary[takes] = (_stable_up_to(lcps, window),
+                                      _diverges(lcps))
+                stable, diverges = summary[takes]
+                tails.append((w, z, takes, stable))
+                if diverges:
+                    pair = BadPair(u, v, w, w, up_word((), z),
+                                   up_word((), z), Divergent("left"))
+                    return BadPairFound(pair)
             found = _first_mismatch(tails)
             if found is not None:
                 (w, z, _, _), (wp, zp, _, _), pos = found

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 
 import omegacont
 from omegacont.cli import main
-from omegacont.textio import fixture_path, parse_spec
+from omegacont.textio import fixture_path, parse_spec, serialize
+from test_loops import random_two_way
 
 
 def run(capsys, *argv):
@@ -346,6 +348,18 @@ class TestOracleGen:
                            "--variant", "cont", "--bound", "1")
         assert code == 2
         assert "none up to bound 1" in out
+
+    @pytest.mark.parametrize("seed", [659, 980])
+    def test_oracle_unconfirmed_pair(self, capsys, tmp_path, seed):
+        # continuous plain two-way machines on which bound 2 reports a
+        # pair that recheck_bad_pair rejects: a candidate, exit 2
+        t = random_two_way(random.Random(seed), "ab", 2 + seed % 3)
+        path = tmp_path / "m.txt"
+        path.write_text(serialize(t))
+        code, out, _ = run(capsys, "oracle", str(path), "--bound", "2")
+        assert code == 2
+        assert out.startswith("candidate bad pair, not confirmed")
+        assert "bad pair found" not in out
 
     @pytest.mark.parametrize("bound", ["0", "-1"])
     def test_oracle_bound_below_one(self, capsys, bound):

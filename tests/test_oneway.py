@@ -247,7 +247,7 @@ def reference_decide_continuity(t, variant="cont"):
                               eps1=True, eps2=True)
             if cyc is None:
                 continue
-            tails = _pair_mismatching_tails(t, q1, q2, status, bound)
+            tails = _pair_mismatching_tails(t, q1, q2, status, bound, set())
             if tails is None:
                 continue
             w1_labels, r1, w_labels, r2 = tails

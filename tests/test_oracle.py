@@ -9,10 +9,11 @@ from omegacont import oracle, words
 from omegacont.buchi import all_up_words
 from omegacont.fixtures import branch_switch, prefix_doubler, stem_doubler
 from omegacont.oneway import (EpsilonLoopOutput, decide_continuity, eval_up,
-                              transducer)
+                              functionality_check, transducer)
 from omegacont.oracle import (
     DEFAULT_PROFILE, BadPair, BadPairFound, Divergent, MismatchAt, NoneUpTo,
-    _diverges, _evaluator, _stable_up_to, _window, _window_lcp,
+    _diverges, _evaluator, _families, _stable_up_to, _start, _step,
+    _window, _window_lcp,
     brute_force_check, random_instance, recheck_bad_pair,
 )
 from omegacont.textio import serialize
@@ -227,9 +228,10 @@ EVALUATOR_MACHINES = list(evaluator_machines())
 
 
 class TestEvaluator:
-    """The one-way evaluator, reading its prefix and period tables,
-    against eval_up: the same value, or None where eval_up returns None
-    or raises EpsilonLoopOutput."""
+    """The one-way evaluator, reading the states reached on the prefix
+    and their lasso outputs over the period, against eval_up: the same
+    value, or None where eval_up returns None or raises
+    EpsilonLoopOutput."""
 
     @pytest.mark.parametrize("name,t", EVALUATOR_MACHINES,
                              ids=[n for n, _ in EVALUATOR_MACHINES])
@@ -260,3 +262,70 @@ class TestEvaluator:
             want = eval_up_or_none(t, up_word(prefix, period))
             assert got == want, (prefix, period)
         assert want == up_word("", "c")
+
+
+def pending_split():
+    """Functional; on the prefix a it reaches p with output nothing and
+    q with output c, and only q reads on past an a."""
+    return transducer("ab", "cd", "ipqr",
+                      {("i", "a", "p", ""), ("i", "a", "q", "c"),
+                       ("p", "b", "p", "cc"), ("q", "a", "q", "d"),
+                       ("q", "b", "r", "c"), ("r", "b", "r", "cc")},
+                      "i", "pqr")
+
+
+def family_machines():
+    for seed in range(50):
+        yield f"random_instance({seed})", random_instance(seed), 2
+    yield "SILENT_LOOP", SILENT_LOOP, 2
+    for i, t in enumerate(silent_loop_draws()):
+        # bound 2 over three letters takes about 34 s for the 36 such
+        # draws, bound 1 0.15 s
+        yield f"silent_loop_draws()[{i}]", t, 2 if len(t.alphabet) < 3 else 1
+    yield "pending_split", pending_split(), 2
+
+
+FAMILY_MACHINES = list(family_machines())
+
+
+class TestFamilies:
+    """brute_force_check's one-way images, read off per-state rows
+    carried along u v^n, against eval_up on every family it reads."""
+
+    def test_pending_split(self):
+        t = pending_split()
+        assert functionality_check(t) is None
+        assert _step(t, _start(t), ("a",)) == {"p": (), "q": ("c",)}
+
+    @pytest.mark.parametrize("name,t,bound", FAMILY_MACHINES,
+                             ids=[n for n, _, _ in FAMILY_MACHINES])
+    def test_windows_match_eval_up(self, name, t, bound):
+        letters = sorted(t.alphabet)
+        n_max, window = 2 * bound + 2, 4 * (bound + 2)
+        tails = list(itertools.product(words_up_to(letters, 0, bound),
+                                       words_up_to(letters, 1, bound)))
+        families = _families(t, tails, n_max, window)
+        memo = {}
+
+        def image(prefix, period):
+            x = up_word(prefix, period)
+            if x not in memo:
+                memo[x] = eval_up_or_none(t, x)
+            return memo[x]
+
+        for u in words_up_to(letters, 0, bound):
+            for v in words_up_to(letters, 1, bound):
+                limit, windows = families(u, v)
+                want = image(u, v)
+                assert (None if limit is None else up_word(*limit)) == \
+                    want, (u, v)
+                for k, (w, z) in enumerate(tails):
+                    want = []
+                    for n in range(1, n_max + 1):
+                        x = image(u + v * n + w, z)
+                        if x is None:
+                            want = None
+                            break
+                        want.append(x.take(window))
+                    want = None if want is None else tuple(want)
+                    assert windows(k) == want, (u, v, w, z)

@@ -170,7 +170,7 @@ def test_stage_a_searches_match_reference(make):
         q = q2 if side == 1 else q1
         assert _mismatching_tail(t, q, pending) == \
             ref_mismatching_tail(t, q, pending)
-        assert _pair_mismatching_tails(t, q1, q2, status, bound) == \
+        assert _pair_mismatching_tails(t, q1, q2, status, bound, set()) == \
             ref_pair_mismatching_tails(t, q1, q2, status, bound)
 
 
