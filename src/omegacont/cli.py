@@ -8,6 +8,7 @@ found / rejected, 2 unknown up to the given bound, 64 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -256,7 +257,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one in the process (parsing leaves it unchanged)."""
     p = argparse.ArgumentParser(
         prog="omegacont",
         description="Continuity tools for transducers over infinite words")

@@ -29,6 +29,13 @@ lies below the window, so the cap changes no answer.  The lcps of a
 family, and what the search reads off them, are computed once per
 distinct tuple of windows in a call.  No window is kept across calls.
 
+Two tails (w, z) that spell one omega-word w z^omega give every family
+the same images, so the search reads one family per distinct tail
+word: the first tail of each class, in enumeration order.  And two
+families can keep a mismatch only where their stable prefixes differ,
+so when those prefixes form a prefix chain no pair of families is
+compared (see brute_force_check and _first_mismatch).
+
 Also provides a reproducible generator of small functional one-way
 transducers used by the differential tests.
 """
@@ -36,6 +43,7 @@ transducers used by the differential tests.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Tuple, Union
@@ -282,28 +290,41 @@ def _mismatch(ta, sa: int, tb, sb: int):
     return common[0]
 
 
-def _first_mismatch(tails):
-    """The first pair of tails (w, z, windows, stable), in the order of
-    itertools.combinations, whose families keep a mismatch below both
-    stable bounds, with its least such position; or None.
+def _first_mismatch(tails, classes, sigs):
+    """The first pair of tails (w, z), in the order of
+    itertools.combinations over tails, whose families keep a mismatch
+    below both stable bounds, with its least such position; or None.
+    tails[k] is in class classes[k], and class c has the signature
+    sigs[c]: its family's (windows, stable), or None for a family that
+    is skipped.
 
-    A mismatch depends only on the two tails' signatures (windows,
-    stable), and two tails of one signature never mismatch; so each
-    pair of distinct signatures is decided once, and the tail pairs are
-    walked only when some signature pair mismatches.  Signatures are
-    numbered in the order of the tails, so nothing depends on string
-    hashing."""
-    sig = {}
-    ids = [sig.setdefault((takes, stable), len(sig))
-           for _, _, takes, stable in tails]
+    A mismatch at position i lies below both stable bounds, and the
+    last samples differ there; so the two stable prefixes
+    windows[-1][:stable] are incomparable.  When the stable prefixes,
+    sorted, form a prefix chain, no pair mismatches, and None is
+    returned without comparing any.  Otherwise a mismatch depends only
+    on the two signatures, and two families of one signature never
+    mismatch; so each pair of distinct signatures is decided once, and
+    the tail pairs are walked only when some signature pair
+    mismatches.  Signatures are numbered in the order they first
+    appear, so nothing depends on string hashing."""
+    ids = {}
+    for sig in sigs:
+        if sig is not None:
+            ids.setdefault(sig, len(ids))
+    prefixes = sorted(takes[-1][:stable] for takes, stable in ids)
+    if all(a == b[:len(a)] for a, b in zip(prefixes, prefixes[1:])):
+        return None
     table = {}
-    for ((ta, sa), i), ((tb, sb), j) in itertools.combinations(sig.items(), 2):
+    for ((ta, sa), i), ((tb, sb), j) in itertools.combinations(ids.items(), 2):
         pos = _mismatch(ta, sa, tb, sb)
         if pos is not None:
             table[i, j] = table[j, i] = pos
     if not table:
         return None
-    for (a, i), (b, j) in itertools.combinations(zip(tails, ids), 2):
+    kept = [(wz, ids[sigs[c]]) for wz, c in zip(tails, classes)
+            if sigs[c] is not None]
+    for (a, i), (b, j) in itertools.combinations(kept, 2):
         if (i, j) in table:
             return a, b, table[i, j]
     raise AssertionError("unreachable")
@@ -317,9 +338,21 @@ def brute_force_check(machine, variant: str, bound: int):
     window of 4*(bound+2) symbols, so no answer is conclusive: a
     reported pair is a candidate until recheck_bad_pair confirms it,
     and NoneUpTo rules out only pairs the samples would show.  The
-    images are read by one _families built for the call, on the words
-    as enumerated; a one-way machine must be functional.  A bound below
-    1 raises ValueError.
+    images are read by one _families built for the call; a one-way
+    machine must be functional.  A bound below 1 raises ValueError.
+
+    The tails (w, z) are grouped by the omega-word w z^omega they
+    spell, and _families reads only the first tail of each class, in
+    enumeration order.  A class is keyed by the first
+    3*bound + lcm(1..bound) symbols of its word: two UP words with
+    prefixes of length at most b and periods of lengths p, p' <= b are
+    equal when they agree on b + lcm(p, p') symbols, and lcm(p, p')
+    divides lcm(1..b).  Tails that spell one word give equal images at
+    every n, hence equal windows, an equal signature and an equal
+    divergence verdict.  So the first diverging tail is the first of
+    its class, and _first_mismatch, which walks the full tail list
+    when some pair mismatches, returns the same pair as a search over
+    every tail.
 
     On a one-way machine the image of u v^n w z^omega is read off the
     states reached on u v^n and their per-state rows: the output o to
@@ -343,7 +376,8 @@ def brute_force_check(machine, variant: str, bound: int):
     with window, which neither changes.  A family's lcps, stable bound
     and divergence depend only on its windows, so they are computed
     once per distinct tuple of windows.  Pairs of families are compared
-    once per pair of distinct signatures (_first_mismatch).  No table
+    once per pair of distinct signatures, and not at all when the
+    stable prefixes form a prefix chain (_first_mismatch).  No table
     outlives the call.
     """
     if variant not in ("cont", "ucont"):
@@ -355,7 +389,15 @@ def brute_force_check(machine, variant: str, bound: int):
     window = 4 * (bound + 2)
     tails_wz = list(itertools.product(words_up_to(letters, 0, bound),
                                       words_up_to(letters, 1, bound)))
-    families = _families(machine, tails_wz, n_max, window)
+    key_len = 3 * bound + math.lcm(*range(1, bound + 1))
+    keys, classes, firsts = {}, [], []
+    for w, z in tails_wz:
+        key = _window(w, z, key_len)
+        if key not in keys:
+            keys[key] = len(firsts)
+            firsts.append((w, z))
+        classes.append(keys[key])
+    families = _families(machine, firsts, n_max, window)
     summary = {}  # windows -> (stable bound, diverges)
 
     for u in words_up_to(letters, 0, bound):
@@ -363,11 +405,12 @@ def brute_force_check(machine, variant: str, bound: int):
             limit, windows = families(u, v)
             if variant == "cont" and limit is None:
                 continue
-            tails = []
-            for k, (w, z) in enumerate(tails_wz):
+            sigs = []
+            for k, (w, z) in enumerate(firsts):
                 # a family with one image outside the domain is skipped
                 takes = windows(k)
                 if takes is None:
+                    sigs.append(None)
                     continue
                 if takes not in summary:
                     lcps = [_window_lcp(a, b)
@@ -378,14 +421,14 @@ def brute_force_check(machine, variant: str, bound: int):
                     summary[takes] = (_stable_up_to(lcps, window),
                                       _diverges(lcps))
                 stable, diverges = summary[takes]
-                tails.append((w, z, takes, stable))
+                sigs.append((takes, stable))
                 if diverges:
                     pair = BadPair(u, v, w, w, up_word((), z),
                                    up_word((), z), Divergent("left"))
                     return BadPairFound(pair)
-            found = _first_mismatch(tails)
+            found = _first_mismatch(tails_wz, classes, sigs)
             if found is not None:
-                (w, z, _, _), (wp, zp, _, _), pos = found
+                (w, z), (wp, zp), pos = found
                 pair = BadPair(u, v, w, wp, up_word((), z),
                                up_word((), zp), MismatchAt(pos))
                 return BadPairFound(pair)

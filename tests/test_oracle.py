@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import itertools
+import random
 import sys
 
 import pytest
@@ -12,8 +13,8 @@ from omegacont.oneway import (EpsilonLoopOutput, decide_continuity, eval_up,
                               functionality_check, transducer)
 from omegacont.oracle import (
     DEFAULT_PROFILE, BadPair, BadPairFound, Divergent, MismatchAt, NoneUpTo,
-    _diverges, _evaluator, _families, _stable_up_to, _start, _step,
-    _window, _window_lcp,
+    _diverges, _evaluator, _families, _first_mismatch, _mismatch,
+    _stable_up_to, _start, _step, _window, _window_lcp,
     brute_force_check, random_instance, recheck_bad_pair,
 )
 from omegacont.textio import serialize
@@ -329,3 +330,130 @@ class TestFamilies:
                         want.append(x.take(window))
                     want = None if want is None else tuple(want)
                     assert windows(k) == want, (u, v, w, z)
+
+
+def full_scan(tails, classes, sigs):
+    """_first_mismatch without classes, signatures or the chain test:
+    every pair of kept tails, in the order of itertools.combinations."""
+    kept = [(wz, sigs[c]) for wz, c in zip(tails, classes)
+            if sigs[c] is not None]
+    for (a, (ta, sa)), (b, (tb, sb)) in itertools.combinations(kept, 2):
+        pos = _mismatch(ta, sa, tb, sb)
+        if pos is not None:
+            return a, b, pos
+    return None
+
+
+def is_chain(sigs):
+    prefixes = [takes[-1][:stable] for takes, stable in
+                filter(None, sigs)]
+    return all(a[:len(b)] == b or b[:len(a)] == a
+               for a, b in itertools.combinations(prefixes, 2))
+
+
+class TestFirstMismatch:
+    """The pair scan: no family pair is compared when the stable
+    prefixes form a prefix chain, and otherwise the answer is the full
+    scan's."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args)
+            return _mismatch(*args)
+
+        monkeypatch.setattr(oracle, "_mismatch", wrapped)
+        return calls
+
+    def test_chain_not_compared(self, counted):
+        a, b = tuple("abab"), tuple("abba")
+        sigs = [((a, a), 2), ((b, b), 3), None, ((a, b), 0), ((b, a), 2)]
+        tails = [(("a",) * k, ("b",)) for k in range(len(sigs))]
+        assert is_chain(sigs)
+        assert _first_mismatch(tails, range(len(sigs)), sigs) is None
+        assert counted == []
+
+    def test_mismatch_pair(self, counted):
+        # tails 1 and 2 are one class; tail 3 keeps a mismatch at 1
+        # with both, and so does tail 0, whose stable bound is 2, with
+        # tail 3 only
+        sigs = [((tuple("aab"), tuple("aab")), 2),
+                ((tuple("aaa"), tuple("aaa")), 3),
+                ((tuple("abb"), tuple("abb")), 3)]
+        tails = [((), (c,)) for c in "wxyz"]
+        classes = [0, 1, 1, 2]
+        assert not is_chain(sigs)
+        want = full_scan(tails, classes, sigs)
+        assert want == (tails[0], tails[3], 1)
+        assert _first_mismatch(tails, classes, sigs) == want
+        assert counted
+
+    def test_random_lists(self):
+        # as brute_force_check makes them: classes numbered in the order
+        # they first appear, each with at least one tail, and one sample
+        # count for every family
+        rng = random.Random(5)
+        for _ in range(3000):
+            first = {}
+            classes = [first.setdefault(rng.randrange(5), len(first))
+                       for _ in range(rng.randrange(1, 8))]
+            n = rng.randrange(1, 4)
+            sigs = []
+            for _ in first:
+                if rng.random() < 0.15:
+                    sigs.append(None)
+                    continue
+                takes = tuple(tuple(rng.choice("ab") for _ in range(3))
+                              for _ in range(n))
+                sigs.append((takes, rng.randrange(4)))
+            tails = [((), ("a",) * (k + 1)) for k in range(len(classes))]
+            assert _first_mismatch(tails, classes, sigs) == \
+                full_scan(tails, classes, sigs), (classes, sigs)
+
+
+class TestTailClasses:
+    """brute_force_check reads one family per distinct tail word
+    w z^omega."""
+
+    @pytest.mark.parametrize("name,t,bound", FAMILY_MACHINES,
+                             ids=[n for n, _, _ in FAMILY_MACHINES])
+    def test_one_word_one_family(self, name, t, bound):
+        letters = sorted(t.alphabet)
+        n_max, window = 2 * bound + 2, 4 * (bound + 2)
+        tails = list(itertools.product(words_up_to(letters, 0, bound),
+                                       words_up_to(letters, 1, bound)))
+        classes = {}
+        for k, (w, z) in enumerate(tails):
+            classes.setdefault(up_word(w, z), []).append(k)
+        assert any(len(ks) > 1 for ks in classes.values())
+        families = _families(t, tails, n_max, window)
+        for u in words_up_to(letters, 0, bound):
+            for v in words_up_to(letters, 1, bound):
+                windows = families(u, v)[1]
+                for ks in classes.values():
+                    assert len({windows(k) for k in ks}) == 1, \
+                        (u, v, [tails[k] for k in ks])
+
+    @pytest.mark.parametrize("letters,bound,count", [
+        ("ab", 2, 16), ("ab", 1, 4), ("a", 3, 1), ("abc", 2, 81),
+        ("ab", 3, 80)])
+    def test_first_tail_per_word(self, monkeypatch, letters, bound, count):
+        copier = transducer(letters, letters, "q",
+                            {("q", a, "q", a) for a in letters}, "q", "q")
+        handed = []
+
+        def stop(machine, tails, n_max, window):
+            handed.extend(tails)
+            raise LookupError
+
+        monkeypatch.setattr(oracle, "_families", stop)
+        with pytest.raises(LookupError):
+            brute_force_check(copier, "cont", bound)
+        firsts = {}
+        for w, z in itertools.product(words_up_to(letters, 0, bound),
+                                      words_up_to(letters, 1, bound)):
+            firsts.setdefault(up_word(w, z), (w, z))
+        assert handed == list(firsts.values())
+        assert len(handed) == count
