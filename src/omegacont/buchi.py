@@ -7,9 +7,9 @@ successor function node -> (label, node) pairs.  Every such search in
 the package goes through one breadth-first kernel defined here:
 explore (the reachable part, with parent edges), bfs_path (a shortest
 non-empty path to a goal node) and path_to (reading a path off the
-parent edges).  find_lasso, the reachable parts of product and closure,
-and the paired-run searches of the one-way decision procedures are
-built on it.
+parent edges).  find_lasso, the reachable parts of product, closure
+and the two-way crossing-sequence construction, and the paired-run
+searches of the one-way decision procedures are built on it.
 """
 
 from __future__ import annotations
@@ -346,26 +346,7 @@ def closure(b: BuchiAutomaton) -> BuchiAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Prophetic look-ahead validation
-
-
-@dataclass(frozen=True)
-class PropheticReport:
-    """Outcome of validating a look-ahead automaton.
-
-    Codeterminism (no word has two distinct accepting runs) is decided
-    exactly.  Cocompleteness (every word has an accepting run from some
-    state) is only sampled on UP words up to sample_bound, so a passing
-    report is evidence, not proof, on that side.
-    """
-    codeterministic: bool
-    ambiguous_word: Optional[UPWord]
-    sample_bound: int
-    uncovered_word: Optional[UPWord]
-
-    @property
-    def ok(self) -> bool:
-        return self.codeterministic and self.uncovered_word is None
+# Look-ahead unambiguity and UP-word samples
 
 
 def _ambiguous_word(b: BuchiAutomaton) -> Optional[UPWord]:
@@ -374,19 +355,21 @@ def _ambiguous_word(b: BuchiAutomaton) -> Optional[UPWord]:
     Self-product over state pairs with an absorbing difference flag and
     a phase bit enforcing that both runs accept.  Runs may start at any
     state: look-ahead automata run from every state simultaneously.
+    Start pairs and edges are taken in repr order, so the word found
+    does not depend on string hashing.
     """
+    order = sorted(b.states, key=repr)
+    edges = {q: sorted(b.out_edges(q), key=repr) for q in order}
 
     def succ(node):
         q1, q2, diff, ph = node
         nph = (1 if q1 in b.final else 0) if ph == 0 else \
               (0 if q2 in b.final else 1)
-        out = []
-        for (a, r1) in b.out_edges(q1):
-            for r2 in b.successors(q2, a):
-                out.append((a, (r1, r2, diff or r1 != r2, nph)))
-        return out
+        return [(a, (r1, r2, diff or r1 != r2, nph))
+                for (a, r1) in edges[q1]
+                for r2 in sorted(b.successors(q2, a), key=repr)]
 
-    init = [(q1, q2, q1 != q2, 0) for q1 in b.states for q2 in b.states]
+    init = [(q1, q2, q1 != q2, 0) for q1 in order for q2 in order]
     lasso = find_lasso(
         init, succ,
         lambda n: n[2] and n[3] == 0 and n[0] in b.final)
@@ -407,24 +390,3 @@ def all_up_words(alphabet, max_prefix: int, max_period: int):
                     if (x.prefix, x.period) not in seen:
                         seen.add((x.prefix, x.period))
                         yield x
-
-
-def prophetic_check(b: BuchiAutomaton, sample_bound: int = 3,
-                    words: Optional[Iterable[UPWord]] = None) -> PropheticReport:
-    """Validate that b can serve as a prophetic look-ahead.
-
-    words restricts the cocompleteness sample; by default every UP word
-    over the full alphabet within sample_bound is tried, but a look-ahead
-    that only ever reads suffixes of endmarked inputs should be sampled
-    on those.
-    """
-    ambiguous = _ambiguous_word(b)
-    uncovered = None
-    if words is None:
-        words = all_up_words(b.alphabet, sample_bound, sample_bound)
-    for x in words:
-        if not any(member_up(b, x, from_states=[q]) for q in b.states):
-            uncovered = x
-            break
-    return PropheticReport(ambiguous is None, ambiguous,
-                           sample_bound, uncovered)

@@ -14,7 +14,6 @@ from dataclasses import replace
 
 from .buchi import BuchiAutomaton, closure, member_up, trim
 from .continuity_regular import NotContinuous, SearchBounds, search_witness
-from .lookahead import MultipleStates, NoState
 from .loops import NotIdempotent, NotInPrefDomain, decompose, rho
 from .oneway import (EpsilonLoopOutput, Transducer, decide_continuity,
                      domain_automaton, eval_up, functionality_check,
@@ -351,8 +350,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except DeadInput as e:
         return _data_error(f"no domain word extends {e}")
-    except (NoState, MultipleStates) as e:
-        return _data_error(f"look-ahead is not prophetic: {e}")
     except (ParseError, ValidationError, ValueError, OSError,
             NotIdempotent, NotInPrefDomain) as e:
         return _data_error(str(e))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Tuple
 
-from .lookahead import MultipleStates, NoState, good_annotation
+from .lookahead import NoState, good_annotation
 from .loops import BlockSummaries, NotIdempotent, NotInPrefDomain
 from .twoway import (ENDMARKER, DomainOracle, Output, TwoWayPLA,
                      TwoWayTransducer, eval_up_2way, run_finite,
@@ -217,7 +217,7 @@ class _AnnotatedSpace:
             marked = up_word((ENDMARKER,) + x.prefix, x.period)
             try:
                 ann = good_annotation(self.p_aut, marked)
-            except (NoState, MultipleStates):
+            except NoState:
                 continue
             if all(ann[i] == w[i] for i in range(len(w))):
                 return True

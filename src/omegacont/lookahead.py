@@ -39,6 +39,19 @@ def good_annotation(p: BuchiAutomaton, x: UPWord) -> UPWord:
     accepting the period depend on the period alone, so they come from
     p's table (BuchiAutomaton.period_states).  NoState or
     MultipleStates names the first position without exactly one state.
+
+    NoState means x is outside the domain.  MultipleStates cannot occur
+    on the look-ahead of a TwoWayPLA.  Proof: states q != q' that both
+    fit position i each have an accepting run on the suffix from i, and
+    the two runs differ in their first state.  So that suffix is a word
+    with two distinct accepting runs, and buchi._ambiguous_word, which
+    TwoWayPLA runs when it is built, finds such a word whenever one
+    exists: its self-product starts from every pair of states, and a
+    word with two distinct accepting runs is exactly an accepting run
+    of that product whose difference flag is set.  It ranges over all
+    words, not only those of the shape ^?x, so suffixes with an inner
+    endmarker are covered too.  MultipleStates is still raised for an
+    automaton passed on its own.
     """
     pre, per = x.prefix, x.period
 

@@ -271,12 +271,11 @@ def _stable_up_to(lcps, window: int) -> int:
 
 
 def _diverges(lcps) -> bool:
-    # images must keep stalling: consecutive lcps finite, never growing,
-    # and falling behind the index
-    if any(l is None for l in lcps):
-        return False
-    return all(l < n + 1 for n, l in enumerate(lcps)) and \
-        all(b <= a for a, b in zip(lcps, lcps[1:]))
+    """Do a family's images keep disagreeing from their first symbol on:
+    is every consecutive lcp 0?  A family whose images alternate after
+    a common output stem has lcps of at least the stem's length, so it
+    is never reported here."""
+    return all(l == 0 for l in lcps)
 
 
 def _mismatch(ta, sa: int, tb, sb: int):
@@ -371,11 +370,11 @@ def brute_force_check(machine, variant: str, bound: int):
     the exact lcp when that is below window, and window otherwise (an
     exact lcp of at least window, or None for equal images).  Both
     consumers answer the same on these capped lcps.  _diverges accepts
-    only lcps below n+1 <= 2*bound+1 < window, so an lcp of window, at
-    least window, or None all make it say no; _stable_up_to takes a min
-    with window, which neither changes.  A family's lcps, stable bound
-    and divergence depend only on its windows, so they are computed
-    once per distinct tuple of windows.  Pairs of families are compared
+    only lcps of 0, and 0 < window, so an lcp of window, at least
+    window, or None all make it say no; _stable_up_to takes a min with
+    window, which neither changes.  A family's lcps, stable bound and
+    divergence depend only on its windows, so they are computed once
+    per distinct tuple of windows.  Pairs of families are compared
     once per pair of distinct signatures, and not at all when the
     stable prefixes form a prefix chain (_first_mismatch).  No table
     outlives the call.

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from .buchi import BuchiAutomaton, all_up_words, explore, pref_automaton
+from .buchi import (BuchiAutomaton, _ambiguous_word, _reachable_part,
+                    all_up_words, explore, pref_automaton)
 from .oneway import Transducer, domain_automaton, emitting_runs
 from .words import UPWord, Word, as_word, up_word
 
@@ -88,6 +89,12 @@ class TwoWayPLA:
     Acceptance lives on the look-ahead: a run is accepting when its
     positions are unbounded and look-ahead final states are consulted
     infinitely often (realized through look-ahead elimination).
+
+    The look-ahead must be unambiguous: no word has two accepting
+    runs, so no suffix is accepted from two states.  That is checked
+    exactly when the machine is built, and a ValueError names a word
+    with two runs.  It need not be complete: a suffix accepted from no
+    state is outside the domain.
     """
     alphabet: FrozenSet
     output_alphabet: FrozenSet
@@ -95,6 +102,12 @@ class TwoWayPLA:
     delta: Dict[Tuple[State, object, State], Tuple[State, Word, int]]
     initial: State
     lookahead: PropheticLookAhead
+
+    def __post_init__(self):
+        word = _ambiguous_word(self.lookahead.automaton)
+        if word is not None:
+            raise ValueError(f"look-ahead is not prophetic: {word} has "
+                             "two accepting runs")
 
     @cached_property
     def eliminated(self) -> TwoWayTransducer:
@@ -347,7 +360,8 @@ def two_way_to_nba(t: TwoWayTransducer,
     (a reset).  The phase bit realizes the conjunction of the two
     infinitary requirements, finals infinitely often and resets
     infinitely often, the accept flag marking its completions.  Raises
-    StateCapExceeded once more than nba_state_cap states are built.
+    StateCapExceeded on expanding state nba_state_cap + 1, so exactly
+    when there are more than nba_state_cap states.
     """
     # a comeback re-enters a cell via some left move taken by a run
     # from the initial state, so only reachable targets of left-moving
@@ -377,24 +391,21 @@ def two_way_to_nba(t: TwoWayTransducer,
                       for (c, fl, links) in
                       _cell_step(t, _INIT, ENDMARKER, t.final, comeback)]
 
-    states = set(init_nodes)
-    trans = set()
-    stack = list(init_nodes)
-    while stack:
-        node = stack.pop()
+    expanded = 0
+
+    def succ(node):
+        nonlocal expanded
+        expanded += 1
+        if expanded > nba_state_cap:
+            raise StateCapExceeded("crossing construction blew up")
         c, tracked, ph, _ = node
-        for a in t.alphabet:
-            for (c2, fl, links) in _cell_step(t, c, a, t.final, comeback):
-                nxt = advance(tracked, ph, c2, fl, links)
-                trans.add((node, a, nxt))
-                if nxt not in states:
-                    states.add(nxt)
-                    stack.append(nxt)
-                    if len(states) > nba_state_cap:
-                        raise StateCapExceeded("crossing construction blew up")
+        return [(a, advance(tracked, ph, c2, fl, links)) for a in t.alphabet
+                for (c2, fl, links) in _cell_step(t, c, a, t.final, comeback)]
+
+    states, trans = _reachable_part(init_nodes, succ)
     final = frozenset(s for s in states if s[3])
-    return BuchiAutomaton(frozenset(t.alphabet), frozenset(states),
-                          frozenset(trans), frozenset(init_nodes), final)
+    return BuchiAutomaton(frozenset(t.alphabet), states, trans,
+                          frozenset(init_nodes), final)
 
 
 def domain_nba(t: TwoWayTransducer,

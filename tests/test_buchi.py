@@ -4,11 +4,12 @@ import random
 import pytest
 
 from omegacont.buchi import (
-    BuchiAutomaton, accepts_some, all_up_words, buchi, closure, find_lasso,
-    is_empty, lasso_word, member_up, pref_automaton, product,
-    prophetic_check, trim,
+    BuchiAutomaton, _ambiguous_word, accepts_some, all_up_words, buchi,
+    closure, find_lasso, is_empty, lasso_word, member_up, pref_automaton,
+    product, trim,
 )
-from omegacont.fixtures import p_suffix_shape
+from omegacont.textio import FIXTURE_NAMES, fixture_path, parse_spec
+from omegacont.twoway import TwoWayPLA, two_way_pla
 from omegacont.words import as_word, up_word
 
 
@@ -200,27 +201,46 @@ class TestClosurePrefixes:
 
 
 class TestProphetic:
+    """A look-ahead is refused when it is built if some word has two
+    accepting runs (_ambiguous_word), and only then."""
+
     def test_good_lookahead_passes(self):
-        # Relevant words are suffixes of endmarked inputs: plain ab-words
-        # and ^-prefixed ones.
-        words = list(all_up_words("ab", 2, 2))
-        words += [up_word(("^",) + x.prefix, x.period) for x in words]
-        rep = prophetic_check(p_suffix_shape(), words=words)
-        assert rep.ok, (rep.ambiguous_word, rep.uncovered_word)
+        lookaheads = 0
+        for name in FIXTURE_NAMES:
+            with open(fixture_path(name), encoding="utf-8") as f:
+                m = parse_spec(f.read()).machine
+            if isinstance(m, TwoWayPLA):
+                assert _ambiguous_word(m.lookahead.automaton) is None, name
+                lookaheads += 1
+        assert lookaheads == 3
 
     def test_ambiguity_detected(self):
         # Two states both accept b^omega.
         b = buchi("b", ["x", "y"],
                   {("x", "b", "x"), ("y", "b", "y")}, [], ["x", "y"])
-        rep = prophetic_check(b, sample_bound=1)
-        assert not rep.codeterministic
-        assert str(rep.ambiguous_word) == "(b)"
+        assert str(_ambiguous_word(b)) == "(b)"
+        with pytest.raises(ValueError, match=r"^look-ahead is not "
+                           r"prophetic: \(b\) has two accepting runs$"):
+            two_way_pla("b", "b", ["q"], {("q", "^", "x", "q", "b", 1)},
+                        "q", b)
 
     def test_single_run_codeterministic(self):
         b = buchi("ab", ["x", "y"],
                   {("x", "a", "y"), ("y", "b", "x")}, [], ["x"])
-        rep = prophetic_check(b, sample_bound=2)
-        assert rep.codeterministic
+        assert _ambiguous_word(b) is None
+        t = two_way_pla("ab", "a", ["q"], {("q", "a", "x", "q", "a", 1)},
+                        "q", b)
+        assert t.lookahead.automaton is b
+
+    def test_word_independent_of_string_hashing(self):
+        # (a) has two runs, from x and from y, and so has (b), from u
+        # and from v; states and edges are taken in repr order, so the
+        # search names (b) whatever the string hash seed
+        b = buchi("ab", ["x", "y", "u", "v"],
+                  {("x", "a", "x"), ("y", "a", "y"),
+                   ("u", "b", "u"), ("v", "b", "v")},
+                  [], ["x", "y", "u", "v"])
+        assert _ambiguous_word(b) == up_word("", "b")
 
     def test_all_up_words_canonical_and_complete(self):
         ws = list(all_up_words("ab", 1, 2))

@@ -231,7 +231,8 @@ class TestNotProphetic:
     # f_inf's look-ahead with A8 a A8 replaced by B7 a A8: the word a^omega
     # then fits both A8 and B7 after its first letter
     @pytest.mark.parametrize("argv", [
-        ("eval", "(a)"), ("check-cont",), ("check-ucont",), ("stream",)],
+        ("eval", "(a)"), ("check-cont",), ("check-ucont",), ("stream",),
+        ("member", "(a)"), ("witness",)],
         ids=lambda argv: argv[0])
     def test_exits_65(self, argv, capsys, monkeypatch, tmp_path):
         with open(fixture_path("f_inf"), encoding="utf-8") as f:
@@ -242,8 +243,8 @@ class TestNotProphetic:
         monkeypatch.setattr("sys.stdin", io.StringIO("a"))
         code, out, err = run(capsys, argv[0], str(p), *argv[1:])
         assert (code, out, err) == (
-            65, "", "error: look-ahead is not prophetic: a(a): "
-            "['A8', 'B7']\n")
+            65, "", "error: look-ahead is not prophetic: (a) has two "
+            "accepting runs\n")
 
 
 class TestWitness:

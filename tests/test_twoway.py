@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from omegacont import buchi, cli, lookahead
@@ -16,6 +18,8 @@ from omegacont.twoway import (
     domain_nba, run_finite, two_way, two_way_to_nba,
 )
 from omegacont.words import UPWord, up_equal, up_word, words_up_to
+
+from test_loops import random_two_way
 
 
 def word_str(w):
@@ -193,11 +197,15 @@ class TestGoodAnnotationReference:
 
     def test_not_prophetic(self):
         # f_inf's look-ahead with A8 a A8 replaced by B7 a A8 (see
-        # tests/test_cli.py TestNotProphetic)
+        # tests/test_cli.py TestNotProphetic), built on its own: a
+        # machine file with it is refused when it is loaded
         with open(fixture_path("f_inf"), encoding="utf-8") as f:
-            text = f.read().replace("trans: A8 a A8\n", "trans: B7 a A8\n")
-        t = parse_spec(text).machine
-        kinds = self._check(t.lookahead.automaton, "ab")
+            la = parse_spec(f.read()).machine.lookahead.automaton
+        assert ("A8", "a", "A8") in la.transitions
+        p = buchi.buchi(la.alphabet, la.states,
+                        (la.transitions - {("A8", "a", "A8")})
+                        | {("B7", "a", "A8")}, la.initial, la.final)
+        kinds = self._check(p, "ab")
         assert kinds == {"value", "MultipleStates"}
 
 
@@ -281,6 +289,16 @@ class TestTwoWayToNba:
         t = block_doubler()
         with pytest.raises(StateCapExceeded):
             two_way_to_nba(t, nba_state_cap=2)
+
+    def test_state_cap_counts_initial_states(self):
+        # 8 initial states and no others: the cap counts every state
+        # expanded, initial ones included
+        t = random_two_way(random.Random(308), "ab", 2 + 308 % 3)
+        b = two_way_to_nba(t)
+        assert len(b.initial) == len(b.states) == 8
+        with pytest.raises(StateCapExceeded):
+            two_way_to_nba(t, nba_state_cap=5)
+        assert len(two_way_to_nba(t, nba_state_cap=8).states) == 8
 
     def test_domain_matches_evaluation(self):
         t = block_doubler()
