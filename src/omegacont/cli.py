@@ -184,22 +184,30 @@ def cmd_witness(args) -> int:
     return _witness_verdict(m, args, bounds)
 
 
-def cmd_rho(args) -> int:
+def _loop_layer(args, fn):
+    """fn(m, u1, u2, u3) on the command's plain two-way machine and
+    words, with the loop layer's exceptions told in CLI word format."""
     m = _load(args.file)
     if not isinstance(m, TwoWayTransducer):
-        return _data_error("rho needs a plain two-way transducer")
-    out = rho(m, parse_word(args.u1), parse_word(args.u2),
-              parse_word(args.u3))
-    print(format_word(out))
+        raise ValueError(f"{args.command} needs a plain two-way transducer")
+    u1, u2, u3 = map(parse_word, (args.u1, args.u2, args.u3))
+    try:
+        return fn(m, u1, u2, u3)
+    except NotIdempotent:
+        raise ValueError(f"u2 = {format_word(u2)} is not an idempotent "
+                         "loop in context") from None
+    except NotInPrefDomain:
+        raise ValueError(f"the run on u1 u2 u3 = {format_word(u1 + u2 + u3)}"
+                         " does not reach the right end") from None
+
+
+def cmd_rho(args) -> int:
+    print(format_word(_loop_layer(args, rho)))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    m = _load(args.file)
-    if not isinstance(m, TwoWayTransducer):
-        return _data_error("decompose needs a plain two-way transducer")
-    d = decompose(m, parse_word(args.u1), parse_word(args.u2),
-                  parse_word(args.u3))
+    d = _loop_layer(args, decompose)
     for i, tr in enumerate(d.traversals):
         print(f"traversal {i}: {tr.kind}")
     for i, (comp, anchor) in enumerate(zip(d.components, d.anchors)):
@@ -350,8 +358,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except DeadInput as e:
         return _data_error(f"no domain word extends {e}")
-    except (ParseError, ValidationError, ValueError, OSError,
-            NotIdempotent, NotInPrefDomain) as e:
+    except (ParseError, ValidationError, ValueError, OSError) as e:
         return _data_error(str(e))
 
 

@@ -316,9 +316,13 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
 
     The enumeration is deterministic: candidate (u1, u2) pairs grouped
     by projection and ordered by total length then lexicographically,
-    u3 parts likewise within each group.  A group whose distinct rho
-    values form a prefix chain is skipped: no pair of its entries
-    mismatches, so the order and the first witness are unchanged.
+    u3 parts likewise within each group.  A (u1, u2) pair is ruled out
+    once, from its prefix walk, when BlockSummaries.loop_possible shows
+    that rho raises on every u3, and a group with no pair left is
+    skipped before its limit is evaluated; those u3s would give no
+    entry.  A group whose distinct rho values form a prefix chain is
+    skipped: no pair of its entries mismatches.  Neither rule changes
+    the order or the first witness.
     A plain machine's pairs are generated one total length at a time,
     so the search builds no pair longer than the one its witness is
     found in.  One BlockSummaries serves every rho of the search and
@@ -359,10 +363,14 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
         return pref_cache[w]
 
     for _, pairs in space.groups(bounds):
-        if variant == "cont" and not space.limit_in_domain(*pairs[0]):
+        # each pair's prefix walk is made just before its u3s resume it
+        live = (p for p in pairs if summaries.loop_possible(*p))
+        first = next(live, None)
+        if first is None or (variant == "cont"
+                             and not space.limit_in_domain(*first)):
             continue
         entries = []
-        for (u1, u2) in pairs:
+        for (u1, u2) in itertools.chain([first], live):
             for u3 in space.thirds(u1, u2, bounds):
                 try:
                     r = summaries.rho(u1, u2, u3)

@@ -262,10 +262,13 @@ class BlockSummaries:
     before it first enters u3, so the walk stops there and every u3
     resumes it.  The instance keeps one such walk, as a search asks for
     all u3s of one (u1, u2) in a row, and holds nothing beyond the
-    search it serves.  The run on u1 u2 u2 u3 is not walked: once u2 is
-    idempotent in context it makes the same visits with each visit to
-    u2 replaced by the visit to the block u2 u2 on the same entry (see
-    _walks)."""
+    search it serves.  That walk alone can rule out a pair for every
+    u3 (loop_possible): a resumed walk only extends its border
+    crossings, so u2 is idempotent in context for no u3 when they are
+    not prefix-comparable.  The run on u1 u2 u2 u3 is not walked: once
+    u2 is idempotent in context it makes the same visits with each
+    visit to u2 replaced by the visit to the block u2 u2 on the same
+    entry (see _walks)."""
 
     def __init__(self, t: TwoWayTransducer):
         self.t = t
@@ -366,6 +369,40 @@ class BlockSummaries:
                                      for e in entries)
         return self._stables[key]
 
+    def _prefix(self, u1: Word, u2: Word):
+        """The index i of the u2 block, and the non-empty blocks of the
+        tape ^u1 | u2 that every u3 resumes."""
+        first = u1 if self.t.marked else (ENDMARKER,) + u1
+        return (1 if first else 0), tuple(filter(None, (first, u2)))
+
+    def loop_possible(self, u1: Word, u2: Word) -> bool:
+        """False when _walks raises for (u1, u2, u3) whatever u3 is,
+        read off the walk over ^u1 | u2 alone (the walk each u3
+        resumes, kept for them): when (a) it does not leave the tape to
+        the right, (b) the crossing sequences of u2's borders, cross[i]
+        and cross[i + 1], are not prefix-comparable, or (c) one u2 does
+        not exit as u2 u2 does on an entry the longer of them names.
+
+        Proof.  (a) _resumed returns this walk itself for every u3, so
+        every u3 raises the same exception.  (b), (c): a resumed walk
+        copies the crossing lists and only appends to them, save for a
+        pop before a step into a repeated configuration.  Its first
+        visit, to u3, meets no configuration seen in u3, and each later
+        visit is entered by a crossing the resumed walk appended, so a
+        pop removes only such a crossing.  Each border sequence of the
+        run on ^u1 u2 u3 therefore extends the prefix walk's.  Equal
+        final sequences C need the two prefixes to be prefix-comparable,
+        and C then extends the longer one and names every entry it
+        names; _stable is an all over the entries named, so it fails on
+        C when it fails on the longer prefix.  Either way _walks raises
+        NotIdempotent.  QED"""
+        i, words = self._prefix(u1, u2)
+        ends, cross = self._resumed(words, ())[:2]
+        if not ends or not u2:
+            return ends
+        short, long = sorted((cross[i], cross[i + 1]), key=len)
+        return long[:len(short)] == short and self._stable(u2, long)
+
     def _walks(self, u1: Word, u2: Word, u3: Word):
         """The index i of the u2 block, the visits of the walk over
         ^u1 | u2 | u3, and the pi segments of the runs on ^u1 u2 u3 and
@@ -432,10 +469,8 @@ class BlockSummaries:
         are the first run's, cut at the same visits (a stay in u2 u2
         leaves on the side its visit to u2 leaves), with each visit to
         u2 replaced by the visit to u2 u2 on the same entry."""
-        first = u1 if self.t.marked else (ENDMARKER,) + u1
-        i = 1 if first else 0
-        ends, cross, visits, cuts = self._resumed(
-            tuple(filter(None, (first, u2))), u3)[:4]
+        i, words = self._prefix(u1, u2)
+        ends, cross, visits, cuts = self._resumed(words, u3)[:4]
         if u2 and (cross[i + 1] != cross[i] or
                    not self._stable(u2, cross[i])):
             raise NotIdempotent(str(u2))

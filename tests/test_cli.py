@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 import subprocess
@@ -8,7 +9,8 @@ import pytest
 
 import omegacont
 from omegacont.cli import main
-from omegacont.textio import fixture_path, parse_spec, serialize
+from omegacont.textio import (FIXTURE_NAMES, fixture_path, parse_spec,
+                              serialize)
 from test_loops import random_two_way
 
 
@@ -247,6 +249,56 @@ class TestNotProphetic:
             "accepting runs\n")
 
 
+class TestSeedIndependence:
+    """The CLI prints the same bytes under every string-hash seed: set
+    and frozenset order must not reach an answer."""
+
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from omegacont.cli import main\n"
+        "got = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(err):\n"
+        "        code = main(argv)\n"
+        "    got.append([argv[0], code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(got))\n")
+
+    def test_same_bytes_under_four_seeds(self, tmp_path):
+        commands = [[cmd, fixture_path(name)] for name in FIXTURE_NAMES
+                    for cmd in ("check-cont", "check-ucont")]
+        commands += [["witness", fixture_path(name), "--variant", "ucont",
+                      "--bound", "2,2,2"]
+                     for name in ("dbl", "j", "t_c_2way", "f_inf")]
+        # both (a) and (b) have two accepting runs: the refusal names
+        # the one a search over the look-ahead finds first
+        p = tmp_path / "two_ambiguous_words.txt"
+        p.write_text("type: 2dft-pla\nalphabet: a b\noutputs: a\n"
+                     "states: t\ninitial: t\nlookahead:\n"
+                     "  alphabet: ^ a b\n  states: x y u v\n  initial: \n"
+                     "  final: x y u v\n  trans: x a x\n  trans: y a y\n"
+                     "  trans: u b u\n  trans: v b v\n"
+                     'trans: t a x t "a" +1\n')
+        commands.append(["check-cont", str(p)])
+        src = os.path.dirname(os.path.dirname(omegacont.__file__))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for seed in range(4)]
+        outs = []
+        for p in procs:
+            out, err = p.communicate(timeout=120)
+            assert p.returncode == 0, err
+            outs.append(out)
+        assert outs[1:] == outs[:1] * 3
+        got = json.loads(outs[0])
+        assert [code for _, code, _, _ in got].count(1) >= 5
+        assert got[-1][1:] == [65, "", "error: look-ahead is not prophetic: "
+                               "(b) has two accepting runs\n"]
+
+
 class TestWitness:
     def test_witness_found(self, capsys):
         code, out, _ = run(capsys, "witness", fixture_path("f_inf"),
@@ -288,6 +340,26 @@ class TestLoops:
                      'trans: q1 a q0 "b" +1\ntrans: q2 a q0 "a" +1\n')
         code, _, err = run(capsys, "rho", str(p), "_", "aa", "_")
         assert code == 65
+
+    @pytest.mark.parametrize("cmd", ["rho", "decompose"])
+    @pytest.mark.parametrize("u2", ["#", "a#"])
+    def test_not_idempotent_message(self, capsys, cmd, u2):
+        code, out, err = run(capsys, cmd, fixture_path("dbl"), "a", u2, "b")
+        assert (code, out) == (65, "")
+        assert err == f"error: u2 = {u2} is not an idempotent loop in " \
+            "context\n"
+
+    @pytest.mark.parametrize("cmd", ["rho", "decompose"])
+    def test_not_in_pref_domain_message(self, capsys, tmp_path, cmd):
+        # the run blocks on b, so it never reaches the right end
+        p = tmp_path / "blocks.txt"
+        p.write_text("type: 2dbt\nalphabet: a b\noutputs: a\n"
+                     "states: q0\ninitial: q0\nfinal: q0\n"
+                     'trans: q0 ^ q0 "" +1\ntrans: q0 a q0 "a" +1\n')
+        code, out, err = run(capsys, cmd, str(p), "_", "a", "b")
+        assert (code, out) == (65, "")
+        assert err == "error: the run on u1 u2 u3 = ab does not reach the " \
+            "right end\n"
 
 
 class TestMismatch:
