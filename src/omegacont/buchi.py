@@ -360,6 +360,7 @@ def _ambiguous_word(b: BuchiAutomaton) -> Optional[UPWord]:
     """
     order = sorted(b.states, key=repr)
     edges = {q: sorted(b.out_edges(q), key=repr) for q in order}
+    targets = {k: sorted(v, key=repr) for k, v in b._index[1].items()}
 
     def succ(node):
         q1, q2, diff, ph = node
@@ -367,7 +368,7 @@ def _ambiguous_word(b: BuchiAutomaton) -> Optional[UPWord]:
               (0 if q2 in b.final else 1)
         return [(a, (r1, r2, diff or r1 != r2, nph))
                 for (a, r1) in edges[q1]
-                for r2 in sorted(b.successors(q2, a), key=repr)]
+                for r2 in targets.get((q2, a), ())]
 
     init = [(q1, q2, q1 != q2, 0) for q1 in order for q2 in order]
     lasso = find_lasso(

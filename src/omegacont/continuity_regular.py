@@ -169,8 +169,9 @@ class _AnnotatedSpace:
     running on the eliminated machine over (letter, class) symbols.
     Only annotation chains consistent with the look-ahead's transitions
     are generated; u2 must additionally be able to follow itself.  The
-    symbols that may follow a symbol, the u3 parts after a u2 and the
-    domain answer for a limit are each found once per space."""
+    symbols that may follow a symbol, the chains of each length after a
+    symbol, the u3 parts after a u2 and the domain answer for a limit
+    are each found once per space."""
 
     def __init__(self, t: TwoWayPLA, ext_bound: int = 4):
         self.original = t
@@ -182,6 +183,7 @@ class _AnnotatedSpace:
         # of the projected word: sound for yes-answers only.
         self.pref_exact = False
         self._next: Dict = {}
+        self._afters: Dict = {}
         self._thirds: Dict = {}
         self._limits: Dict[UPWord, bool] = {}
 
@@ -200,16 +202,15 @@ class _AnnotatedSpace:
             self._next[last] = out
         return self._next[last]
 
-    def _chains(self, starts, lo: int, hi: int) -> List[Word]:
-        level = [(s,) for s in sorted(starts)]
-        out = []
-        for ln in range(1, hi + 1):
-            if ln >= lo:
-                out.extend(level)
-            if ln < hi:
-                level = [w + (s,) for w in level
-                         for s in self._next_symbols(w[-1])]
-        return out
+    def _after(self, last, k: int) -> List[Word]:
+        """The annotation chains of length k that may follow the symbol
+        last, each length built once from the one below."""
+        key = (last, k)
+        if key not in self._afters:
+            self._afters[key] = [()] if k == 0 else [
+                w + (s,) for w in self._after(last, k - 1)
+                for s in self._next_symbols(w[-1] if w else last)]
+        return self._afters[key]
 
     def pref_member(self, w: Word) -> bool:
         for x, _ in sampled_extensions(self.original, self.project(w)[1:],
@@ -231,25 +232,31 @@ class _AnnotatedSpace:
         return self._limits[x]
 
     def groups(self, bounds: SearchBounds):
+        # one total length at a time, as for a plain machine, so a
+        # search that stops early builds no longer pair
         starts = [(ENDMARKER, p) for p in sorted(self.p_aut.states)
                   if self.p_aut.successors(p, ENDMARKER)]
-        grouped: Dict[Tuple[Word, Word], List] = {}
-        for u1 in self._chains(starts, 1, bounds.max_len_u1):
-            for u2 in self._chains(self._next_symbols(u1[-1]), 1,
-                                   bounds.max_len_u2):
-                if u2[0] not in self._next_symbols(u2[-1]):
+        firsts = [(s,) + w for k in range(bounds.max_len_u1)
+                  for s in starts for w in self._after(s, k)]
+        for total in range(2, bounds.max_len_u1 + bounds.max_len_u2 + 1):
+            grouped: Dict[Tuple[Word, Word], List] = {}
+            for u1 in firsts:
+                k = total - len(u1)
+                if not 1 <= k <= bounds.max_len_u2:
                     continue
-                key = (self.project(u1), self.project(u2))
-                grouped.setdefault(key, []).append((u1, u2))
-        for key in sorted(grouped,
-                          key=lambda k: (len(k[0]) + len(k[1]), k)):
-            yield key, sorted(grouped[key])
+                for u2 in self._after(u1[-1], k):
+                    if u2[0] not in self._next_symbols(u2[-1]):
+                        continue
+                    key = (self.project(u1), self.project(u2))
+                    grouped.setdefault(key, []).append((u1, u2))
+            for key in sorted(grouped):
+                yield key, sorted(grouped[key])
 
     def thirds(self, u1: Word, u2: Word, bounds: SearchBounds):
         key = (u2[-1], bounds.max_len_u3)
         if key not in self._thirds:
-            self._thirds[key] = [()] + self._chains(
-                self._next_symbols(u2[-1]), 1, bounds.max_len_u3)
+            self._thirds[key] = [w for k in range(bounds.max_len_u3 + 1)
+                                 for w in self._after(u2[-1], k)]
         return self._thirds[key]
 
 
@@ -309,6 +316,17 @@ def verify_witness(t, w: RegularWitness, n: int = 4,
                    BlockSummaries(space.machine))
 
 
+def _entries(summaries: BlockSummaries, u1: Word, u2: Word, thirds):
+    """The entries (u1, u2, u3, rho) of the u3s taken from the iterator
+    thirds on which rho returns."""
+    for u3 in thirds:
+        try:
+            r = summaries.rho(u1, u2, u3)
+        except (NotIdempotent, NotInPrefDomain):
+            continue
+        yield u1, u2, u3, r
+
+
 def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
                    state_cap: int = 12, ext_bound: int = 4):
     """Enumerate candidate triples within the length bounds and return
@@ -321,8 +339,19 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
     that rho raises on every u3, and a group with no pair left is
     skipped before its limit is evaluated; those u3s would give no
     entry.  A group whose distinct rho values form a prefix chain is
-    skipped: no pair of its entries mismatches.  Neither rule changes
-    the order or the first witness.
+    skipped: no pair of its entries mismatches.  To collect those
+    values, a pair whose rho BlockSummaries.rho_fixed shows to be one
+    value over all its u3s is walked only up to its first u3 with a
+    value; only when the chain test fails are the rest of its u3s
+    walked, resuming where it stopped, so each triple gets at most one
+    rho call.  Proof that the values are the same: rho is the output
+    of the walk up to its first crossing visit of u2 with a non-empty
+    tr, and a resumed walk only appends visits and cuts to the prefix
+    walk, so when that crossing lies in the prefix walk it is the same
+    one, with the same output before it, for every u3 (see rho_fixed;
+    it is asked only once some u3 has a value, as before that a cut
+    may lack its tr).  None of these rules changes the entries, their
+    order or the first witness.
     A plain machine's pairs are generated one total length at a time,
     so the search builds no pair longer than the one its witness is
     found in.  One BlockSummaries serves every rho of the search and
@@ -369,17 +398,23 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
         if first is None or (variant == "cont"
                              and not space.limit_in_domain(*first)):
             continue
-        entries = []
+        # a pair whose prefix walk fixes rho stops at its first entry
+        # until the chain test fails: the rest add no value
+        walked = []
         for (u1, u2) in itertools.chain([first], live):
-            for u3 in space.thirds(u1, u2, bounds):
-                try:
-                    r = summaries.rho(u1, u2, u3)
-                except (NotIdempotent, NotInPrefDomain):
-                    continue
-                entries.append((u1, u2, u3, r))
-        chain = sorted({e[3] for e in entries}, key=len)
+            rest = iter(space.thirds(u1, u2, bounds))
+            found = list(itertools.islice(_entries(summaries, u1, u2, rest),
+                                          1))
+            if found and not summaries.rho_fixed(u1, u2):
+                found += _entries(summaries, u1, u2, rest)
+            walked.append((u1, u2, found, rest))
+        chain = sorted({e[3] for w in walked for e in w[2]}, key=len)
         if all(a == b[:len(a)] for a, b in zip(chain, chain[1:])):
             continue
+        entries = []
+        for u1, u2, found, rest in walked:
+            entries += found
+            entries += _entries(summaries, u1, u2, rest)
         for e1, e2 in itertools.combinations(entries, 2):
             pos = mismatch(e1[3], e2[3])
             if pos is None:

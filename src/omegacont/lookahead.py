@@ -106,21 +106,30 @@ def eliminate_lookahead(t: TwoWayPLA) -> TwoWayTransducer:
     probe = lambda r, a, p: ("probe", r, a, p)
     armed = lambda r, a, p: ("go", r, a, p)
 
-    for r in t.states:
-        for (a, p) in tape_syms:
+    # states and tape symbols in repr order, so delta is built in an
+    # order that does not depend on string hashing; the tape symbols
+    # that may follow each one are found with one successors lookup
+    originals = sorted(t.states, key=repr)
+    order = sorted(tape_syms, key=repr)
+    follow = {}
+    for (a, p) in order:
+        succ = p_aut.successors(p, a)
+        follow[a, p] = [(b, p2) for (b, p2) in order if p2 in succ]
+
+    for r in originals:
+        for (a, p) in order:
             delta[(r, (a, p))] = (probe(r, a, p), (), 1)
             states.add(probe(r, a, p))
 
-    for r in t.states:
-        for (a, p) in tape_syms:
+    for r in originals:
+        for (a, p) in order:
             pr = probe(r, a, p)
             ar = armed(r, a, p)
             states.add(ar)
             if p in p_aut.final:
                 final.add(ar)
-            for (b, p2) in tape_syms:
-                if p2 in p_aut.successors(p, a):
-                    delta[(pr, (b, p2))] = (ar, (), -1)
+            for nxt in follow[a, p]:
+                delta[(pr, nxt)] = (ar, (), -1)
 
     for (q, a, p), (r, g, d) in t.delta.items():
         delta[(armed(q, a, p), (a, p))] = (r, g, d)

@@ -149,30 +149,6 @@ def pump_predict(d: RunDecomposition, n: int) -> Word:
     return tuple(out)
 
 
-def _loop_outputs(pis, segs2) -> List[Word]:
-    """tr(C_1) .. tr(C_k): segment i of the run on u1 u2 u2 u3 less its
-    suffix pi_i, the output one more copy of u2 adds to crossing i."""
-    trs = []
-    for i in range(1, len(pis)):
-        seg2, pi = segs2[i], pis[i]
-        # This never fails once BlockSummaries._walks returns.  Let
-        # crossing traversal i of the first run enter u2 by the a-th
-        # crossing of one border of u2 and leave by the b-th crossing of
-        # the other.  In the cut and paste of the lemma there, the stay
-        # in u2 u2 that replaces it leaves by the b-th crossing of the
-        # matching copy border, inside the piece that starts at the a-th
-        # crossing of m and copies the first run from the a-th crossing
-        # of the entry border on: the stay ends with traversal i itself,
-        # in the copy it leaves from.  A visit to u2 that leaves on the
-        # side it entered crosses no border of u2 in between, so its
-        # stay crosses no m and emits what the visit does.  So seg2 is
-        # pi_i with the rest of that stay's output in front.
-        if pi and seg2[len(seg2) - len(pi):] != pi:
-            raise RuntimeError("pumping alignment failed: no common suffix")
-        trs.append(seg2[:len(seg2) - len(pi)])
-    return trs
-
-
 def decompose(t: TwoWayTransducer, u1, u2, u3) -> RunDecomposition:
     """Pumping decomposition of the run on u1 u2 u3 around the
     idempotent factor u2, aligned against the run on u1 u2 u2 u3
@@ -261,20 +237,26 @@ class BlockSummaries:
     counts give run_finite's indices.  A run does not depend on u3
     before it first enters u3, so the walk stops there and every u3
     resumes it.  The instance keeps one such walk, as a search asks for
-    all u3s of one (u1, u2) in a row, and holds nothing beyond the
+    the u3s of one (u1, u2) in a row, and holds nothing beyond the
     search it serves.  That walk alone can rule out a pair for every
     u3 (loop_possible): a resumed walk only extends its border
     crossings, so u2 is idempotent in context for no u3 when they are
     not prefix-comparable.  The run on u1 u2 u2 u3 is not walked: once
     u2 is idempotent in context it makes the same visits with each
     visit to u2 replaced by the visit to the block u2 u2 on the same
-    entry (see _walks)."""
+    entry (see _walks).  Nor is it read: the tr of a crossing visit of
+    u2 depends on its entry alone and is kept per (u2, entry) (_tr),
+    so rho is the output of the first run's visits up to its first
+    crossing visit of u2 with a non-empty tr.  When that visit lies in
+    the prefix walk, every u3 that rho returns on gives the same value
+    (rho_fixed)."""
 
     def __init__(self, t: TwoWayTransducer):
         self.t = t
         self._number = {q: i for i, q in enumerate(t.states)}
         self._blocks: Dict[Tuple[Word, bool], _Block] = {}
         self._stables: Dict[Tuple[Word, tuple], bool] = {}
+        self._trs: Dict[Tuple[Word, tuple], Word] = {}
         self._slot: Optional[tuple] = None
 
     def _block(self, w: Word, leftmost: bool) -> _Block:
@@ -405,8 +387,8 @@ class BlockSummaries:
 
     def _walks(self, u1: Word, u2: Word, u3: Word):
         """The index i of the u2 block, the visits of the walk over
-        ^u1 | u2 | u3, and the pi segments of the runs on ^u1 u2 u3 and
-        ^u1 u2 u2 u3 (its output and None when u2 is empty).
+        ^u1 | u2 | u3, and its cuts, where pi_1 .. pi_k start (none
+        when u2 is empty).
         NotIdempotent is raised when the borders of u2 carry different
         crossing sequences or one u2 does not exit as u2 u2 does on an
         entry they name; then NotInPrefDomain, when the run does not
@@ -468,7 +450,9 @@ class BlockSummaries:
         own, nor does its reaching the right end; and its pi segments
         are the first run's, cut at the same visits (a stay in u2 u2
         leaves on the side its visit to u2 leaves), with each visit to
-        u2 replaced by the visit to u2 u2 on the same entry."""
+        u2 replaced by the visit to u2 u2 on the same entry.  They are
+        not built: they differ from the first run's pi segments only by
+        a word in front, read per crossing entry (_tr)."""
         i, words = self._prefix(u1, u2)
         ends, cross, visits, cuts = self._resumed(words, u3)[:4]
         if u2 and (cross[i + 1] != cross[i] or
@@ -476,33 +460,95 @@ class BlockSummaries:
             raise NotIdempotent(str(u2))
         if not ends:
             raise NotInPrefDomain("run does not reach the right end")
-        outs = [v[5] for v in visits]
-        if not u2:
-            return i, visits, _pieces(outs, []), None
-        two = self._block(u2 + u2, False)
-        outs2 = [two[v[1], v[2]][2] if v[0] == i else v[5] for v in visits]
-        return i, visits, _pieces(outs, cuts), _pieces(outs2, cuts)
+        return i, visits, cuts if u2 else []
+
+    def _tr(self, u2: Word, entry) -> Word:
+        """tr at a crossing visit of u2 entered on entry (side, state):
+        the output of the visit to u2 u2 on entry less its suffix, the
+        output of the visit to u2 on entry.  Kept per u2 and entry.
+
+        It is tr(C_i) for the crossing traversal i on that entry, the
+        output one more copy of u2 adds to crossing i: segment i of the
+        run on ^u1 u2 u2 u3 less its suffix pi_i.  By the lemma of
+        _walks, segment i is pi_i with each visit to u2 replaced by the
+        stay in u2 u2 on its entry.  A visit that leaves u2 on the side
+        it entered crosses no border of u2 in between, so its stay
+        crosses no m and emits what the visit does.  Let traversal i
+        enter u2 by the a-th crossing of one border of u2 and leave by
+        the b-th crossing of the other.  In the cut and paste of the
+        lemma, the stay in u2 u2 that replaces it leaves by the b-th
+        crossing of the matching copy border, inside the piece that
+        starts at the a-th crossing of m and copies the first run from
+        the a-th crossing of the entry border on: the stay ends with
+        traversal i itself, in the copy it leaves from.  So segment i
+        is pi_i with the rest of that stay's output in front, and that
+        rest is the difference here, which depends on the entry alone.
+        The suffix therefore exists on the entry of every crossing
+        visit of a walk that passed the checks of _walks.  On an entry
+        where it does not, RuntimeError is raised and nothing kept."""
+        key = (u2, entry)
+        tr = self._trs.get(key)
+        if tr is None:
+            one = self._block(u2, False)[entry][2]
+            two = self._block(u2 + u2, False)[entry][2]
+            if one and two[len(two) - len(one):] != one:
+                raise RuntimeError("pumping alignment failed: no common "
+                                   "suffix")
+            tr = self._trs[key] = two[:len(two) - len(one)]
+        return tr
+
+    def _emitting_cut(self, u2: Word, visits, cuts) -> Optional[int]:
+        """The first of the cuts whose crossing visit has a non-empty
+        tr, or None."""
+        for c in cuts:
+            if self._tr(u2, visits[c][1:3]):
+                return c
+        return None
 
     def rho(self, u1: Word, u2: Word, u3: Word) -> Word:
-        """rho(t, u1, u2, u3): the pi and tr segments are cut at the
-        crossing visits of u2 (at the stays in u2 u2 that replace them,
-        in the second run)."""
-        _, _, pis, segs2 = self._walks(u1, u2, u3)
-        out = list(pis[0])
-        if segs2 is not None:
-            for tr, pi in zip(_loop_outputs(pis, segs2), pis[1:]):
-                if tr:
-                    break
-                out.extend(pi)
+        """rho(t, u1, u2, u3): the output of the walk's visits up to,
+        not including, the first crossing visit of u2 whose tr (_tr) is
+        non-empty; of all of them when there is none.  The cuts are
+        where pi_1 .. pi_k start, so that is pi_0 .. pi_(j-1) for the
+        first component j with tr(C_j) non-empty, and the tr of a
+        crossing depends on its entry alone (see _tr): no second run is
+        built and no tr after the first non-empty one is read."""
+        _, visits, cuts = self._walks(u1, u2, u3)
+        out = []
+        for v in visits[:self._emitting_cut(u2, visits, cuts)]:
+            out += v[5]
         return tuple(out)
+
+    def rho_fixed(self, u1: Word, u2: Word) -> bool:
+        """Whether rho(u1, u2, u3) has one value over every u3 it
+        returns on, read off the walk over ^u1 | u2 that each u3
+        resumes (kept for them): whether one of that walk's crossing
+        visits of u2 has a non-empty tr.  Ask only once rho has
+        returned on some u3 of (u1, u2).
+
+        Proof.  A resumed walk copies the visits and cuts of the prefix
+        walk and only appends to them.  So when a cut of the prefix
+        walk has a non-empty tr, the first such cut c of every resumed
+        walk is the prefix walk's first one, and rho is the output of
+        the prefix walk's visits before c, whatever u3 is.  QED
+        Why only then: once rho has returned on some u3, that resumed
+        walk passed the checks of _walks, so every cut of the prefix
+        walk, a cut of that walk too, has its tr.  Before, a cut may
+        name an entry without one, and the test would raise
+        RuntimeError on a pair whose u3s all raise NotIdempotent or
+        NotInPrefDomain."""
+        _, words = self._prefix(u1, u2)
+        visits, cuts = self._resumed(words, ())[2:4]
+        return bool(u2) and self._emitting_cut(u2, visits, cuts) is not None
 
     def decompose(self, u1: Word, u2: Word, u3: Word) -> RunDecomposition:
         """decompose(t, u1, u2, u3): the traversals are the walk's
-        visits to u2, and a run index counts the steps the run takes
-        before it."""
-        i, visits, pis, segs2 = self._walks(u1, u2, u3)
-        if segs2 is None:
-            return RunDecomposition((), (), (), tuple(pis), ())
+        visits to u2, a run index counts the steps the run takes before
+        it, and tr(C_i) is the tr of crossing visit i's entry (_tr)."""
+        i, visits, cuts = self._walks(u1, u2, u3)
+        pis = tuple(_pieces([v[5] for v in visits], cuts))
+        if not u2:
+            return RunDecomposition((), (), (), pis, ())
         travs = []
         start = 0
         for b, side, q, ex, q2, out, steps in visits:
@@ -510,12 +556,12 @@ class BlockSummaries:
                 travs.append(Traversal(side + ex, start, start + steps, out,
                                        q, q2))
             start += steps
-        trs = _loop_outputs(pis, segs2)
+        trs = tuple(self._tr(u2, visits[c][1:3]) for c in cuts)
         crossing = [k for k, tr in enumerate(travs)
                     if tr.kind in ("LR", "RL")]
         return RunDecomposition(tuple(travs), tuple((k,) for k in crossing),
                                 tuple(travs[k].start for k in crossing),
-                                tuple(pis), tuple(trs))
+                                pis, trs)
 
 
 def rho(t: TwoWayTransducer, u1, u2, u3) -> Word:
