@@ -60,13 +60,40 @@ class BuchiAutomaton:
 
     def period_states(self, period) -> FrozenSet[State]:
         """The states from which the automaton accepts period^omega,
-        found once per period."""
+        found once per period (_accepting_period)."""
         table = self._period_states
         if period not in table:
-            x = UPWord((), period)
-            table[period] = frozenset(
-                q for q in self.states if member_up(self, x, from_states=[q]))
+            table[period] = self._accepting_period(period)
         return table[period]
+
+    def _accepting_period(self, period) -> FrozenSet[State]:
+        """The states from which the automaton accepts period^omega,
+        read off the period's one-step relation: an edge q -> r for
+        each run over the period from q to r, flagged when some such
+        run meets a final state after q.  A run on period^omega is a
+        path of these edges that meets a final state infinitely often
+        exactly when it takes flagged edges infinitely often, so it
+        exists from q exactly when q reaches a flagged edge that lies
+        on a cycle."""
+        step = {}
+        for q in self.states:
+            runs = {(q, False)}
+            for a in period:
+                runs = {(r, f or r in self.final) for p, f in runs
+                        for r in self.successors(p, a)}
+            step[q] = runs
+
+        def succ(q):
+            return [(f, r) for r, f in step[q]]
+
+        # the states reached from q by one edge or more
+        after = {q: explore([r for r, _ in step[q]], succ)[0]
+                 for q in self.states}
+        cycling = {q for q in self.states
+                   if any(f and (r == q or q in after[r])
+                          for r, f in step[q])}
+        return frozenset(q for q in self.states
+                         if q in cycling or not cycling.isdisjoint(after[q]))
 
 
 def _index_transitions(transitions):

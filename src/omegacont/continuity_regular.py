@@ -316,6 +316,13 @@ def verify_witness(t, w: RegularWitness, n: int = 4,
                    BlockSummaries(space.machine))
 
 
+def _chain(values) -> bool:
+    """Whether the words values form a prefix chain: no two of them
+    mismatch."""
+    chain = sorted(set(values), key=len)
+    return all(a == b[:len(a)] for a, b in zip(chain, chain[1:]))
+
+
 def _entries(summaries: BlockSummaries, u1: Word, u2: Word, thirds):
     """The entries (u1, u2, u3, rho) of the u3s taken from the iterator
     thirds on which rho returns."""
@@ -334,24 +341,29 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
 
     The enumeration is deterministic: candidate (u1, u2) pairs grouped
     by projection and ordered by total length then lexicographically,
-    u3 parts likewise within each group.  A (u1, u2) pair is ruled out
-    once, from its prefix walk, when BlockSummaries.loop_possible shows
-    that rho raises on every u3, and a group with no pair left is
-    skipped before its limit is evaluated; those u3s would give no
-    entry.  A group whose distinct rho values form a prefix chain is
-    skipped: no pair of its entries mismatches.  To collect those
-    values, a pair whose rho BlockSummaries.rho_fixed shows to be one
-    value over all its u3s is walked only up to its first u3 with a
-    value; only when the chain test fails are the rest of its u3s
-    walked, resuming where it stopped, so each triple gets at most one
-    rho call.  Proof that the values are the same: rho is the output
-    of the walk up to its first crossing visit of u2 with a non-empty
-    tr, and a resumed walk only appends visits and cuts to the prefix
-    walk, so when that crossing lies in the prefix walk it is the same
-    one, with the same output before it, for every u3 (see rho_fixed;
-    it is asked only once some u3 has a value, as before that a cut
-    may lack its tr).  None of these rules changes the entries, their
-    order or the first witness.
+    u3 parts likewise within each group.  A group whose distinct rho
+    values form a prefix chain is skipped: no pair of its entries
+    mismatches.  The checks come in this order, each before the work
+    it saves:
+    1. A (u1, u2) pair is ruled out once, when
+       BlockSummaries.loop_possible shows that rho raises on every u3:
+       from the first crossing of u2's left border without a walk, or
+       from its prefix walk.  Its u3s would give no entry.
+    2. Each pair left gets the values its u3s may give, read off its
+       prefix walk by BlockSummaries.prefix_values: one value V, none,
+       or open (not told).  The group is skipped when no pair is open
+       and the V's form a prefix chain: its rho values are among them,
+       so they do too.  A group with no pair left is skipped here.
+    3. For "cont", the group is skipped when its limit is not in the
+       domain.
+    4. The chain test on rho values: a pair with a V is walked only up
+       to its first u3 with a value, one with none walks no u3, and an
+       open one walks all.  Only when the test fails are the rest of
+       the u3s walked, resuming the kept prefix walks where they
+       stopped, so each triple gets at most one rho call.
+    Every skip here is a skip the chain test, the limit test or a u3
+    without an entry would make, so none of these rules changes the
+    entries, their order or the first witness.
     A plain machine's pairs are generated one total length at a time,
     so the search builds no pair longer than the one its witness is
     found in.  One BlockSummaries serves every rho of the search and
@@ -392,24 +404,24 @@ def search_witness(t, variant: str, bounds: SearchBounds = SearchBounds(),
         return pref_cache[w]
 
     for _, pairs in space.groups(bounds):
-        # each pair's prefix walk is made just before its u3s resume it
-        live = (p for p in pairs if summaries.loop_possible(*p))
-        first = next(live, None)
-        if first is None or (variant == "cont"
-                             and not space.limit_in_domain(*first)):
+        live = [(u1, u2, summaries.prefix_values(u1, u2))
+                for u1, u2 in pairs if summaries.loop_possible(u1, u2)]
+        if all(values is not None for *_, values in live) and _chain(
+                v for *_, values in live for v in values):
             continue
-        # a pair whose prefix walk fixes rho stops at its first entry
-        # until the chain test fails: the rest add no value
+        if variant == "cont" and not space.limit_in_domain(*live[0][:2]):
+            continue
+        # a pair with a value stops at its first entry until the chain
+        # test fails: the rest add no value
         walked = []
-        for (u1, u2) in itertools.chain([first], live):
-            rest = iter(space.thirds(u1, u2, bounds))
+        for u1, u2, values in live:
+            rest = iter(space.thirds(u1, u2, bounds) if values != () else ())
             found = list(itertools.islice(_entries(summaries, u1, u2, rest),
                                           1))
-            if found and not summaries.rho_fixed(u1, u2):
+            if values is None:
                 found += _entries(summaries, u1, u2, rest)
             walked.append((u1, u2, found, rest))
-        chain = sorted({e[3] for w in walked for e in w[2]}, key=len)
-        if all(a == b[:len(a)] for a, b in zip(chain, chain[1:])):
+        if _chain(e[3] for w in walked for e in w[2]):
             continue
         entries = []
         for u1, u2, found, rest in walked:

@@ -30,6 +30,7 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .twoway import ENDMARKER, TwoWayTransducer
@@ -208,6 +209,14 @@ class _Block(dict):
         return v
 
 
+def _output(visits) -> Word:
+    """The output of the visits of a walk, in order."""
+    out = []
+    for v in visits:
+        out += v[5]
+    return tuple(out)
+
+
 def _pieces(outs: List[Word], cuts: List[int]) -> List[Word]:
     """The visit outputs outs of a walk joined into pi_0 .. pi_k, cut
     before the visits cuts."""
@@ -236,28 +245,31 @@ class BlockSummaries:
     the loops of a run at the step run_finite finds them; the step
     counts give run_finite's indices.  A run does not depend on u3
     before it first enters u3, so the walk stops there and every u3
-    resumes it.  The instance keeps one such walk, as a search asks for
-    the u3s of one (u1, u2) in a row, and holds nothing beyond the
-    search it serves.  That walk alone can rule out a pair for every
-    u3 (loop_possible): a resumed walk only extends its border
-    crossings, so u2 is idempotent in context for no u3 when they are
-    not prefix-comparable.  The run on u1 u2 u2 u3 is not walked: once
-    u2 is idempotent in context it makes the same visits with each
-    visit to u2 replaced by the visit to the block u2 u2 on the same
-    entry (see _walks).  Nor is it read: the tr of a crossing visit of
-    u2 depends on its entry alone and is kept per (u2, entry) (_tr),
-    so rho is the output of the first run's visits up to its first
-    crossing visit of u2 with a non-empty tr.  When that visit lies in
-    the prefix walk, every u3 that rho returns on gives the same value
-    (rho_fixed)."""
+    resumes it.  The instance keeps such prefix walks, one per (u1, u2)
+    that is not ruled out, and holds nothing beyond the search it
+    serves.  A search asks in this order.  loop_possible rules out a
+    pair for every u3, first from the kept first visit to ^u1 without
+    a walk, then from the prefix walk: a resumed walk only extends its
+    border crossings, so u2 is idempotent in context for no u3 when
+    they are not prefix-comparable.  prefix_values reads the rho values
+    of a pair's u3s off the same walk, when it tells them.  rho, last,
+    resumes it per u3.  The run on u1 u2 u2 u3 is not walked: once u2
+    is idempotent in context it makes the same visits with each visit
+    to u2 replaced by the visit to the block u2 u2 on the same entry
+    (see _walks).  Nor is it read: the tr of a crossing visit of u2
+    depends on its entry alone and is kept per (u2, entry) (_tr), so
+    rho is the output of the first run's visits up to its first
+    crossing visit of u2 with a non-empty tr.  When such a visit, or
+    one without a tr, lies in the prefix walk, that walk fixes rho or
+    shows it has no value."""
 
     def __init__(self, t: TwoWayTransducer):
         self.t = t
         self._number = {q: i for i, q in enumerate(t.states)}
         self._blocks: Dict[Tuple[Word, bool], _Block] = {}
         self._stables: Dict[Tuple[Word, tuple], bool] = {}
-        self._trs: Dict[Tuple[Word, tuple], Word] = {}
-        self._slot: Optional[tuple] = None
+        self._trs: Dict[Tuple[Word, tuple], Optional[Word]] = {}
+        self._kept: Dict[tuple, tuple] = {}
 
     def _block(self, w: Word, leftmost: bool) -> _Block:
         b = self._blocks.get((w, leftmost))
@@ -329,12 +341,14 @@ class BlockSummaries:
             cross[border].append((ex, q))
 
     def _resumed(self, words, u3: Word):
-        """The walk over words | u3, resumed from the walk over words,
-        which is kept, keyed by its words alone: a walk does not depend
-        on the triple it serves, as its cuts are at its last block."""
-        if self._slot is None or self._slot[0] != words:
-            self._slot = words, self._walk(words)
-        walk = self._slot[1]
+        """The walk over words | u3, resumed from the walk over words.
+        That walk is kept, keyed by its words alone (a walk does not
+        depend on the triple it serves, as its cuts are at its last
+        block), until loop_possible rules its pair out: a search reads
+        the prefix walks of a whole group before it resumes them."""
+        walk = self._kept.get(words)
+        if walk is None:
+            walk = self._kept[words] = self._walk(words)
         if u3 and walk[0]:
             return self._walk((u3,), walk)
         return walk
@@ -357,15 +371,37 @@ class BlockSummaries:
         first = u1 if self.t.marked else (ENDMARKER,) + u1
         return (1 if first else 0), tuple(filter(None, (first, u2)))
 
-    def loop_possible(self, u1: Word, u2: Word) -> bool:
-        """False when _walks raises for (u1, u2, u3) whatever u3 is,
-        read off the walk over ^u1 | u2 alone (the walk each u3
-        resumes, kept for them): when (a) it does not leave the tape to
-        the right, (b) the crossing sequences of u2's borders, cross[i]
-        and cross[i + 1], are not prefix-comparable, or (c) one u2 does
-        not exit as u2 u2 does on an entry the longer of them names.
+    @cached_property
+    def _right_targets(self) -> Dict[object, set]:
+        """The states a move right on each tape symbol enters."""
+        targets: Dict[object, set] = {}
+        for (_, a), (r, _, d) in self.t.delta.items():
+            if d == 1:
+                targets.setdefault(a, set()).add(r)
+        return targets
 
-        Proof.  (a) _resumed returns this walk itself for every u3, so
+    def loop_possible(self, u1: Word, u2: Word) -> bool:
+        """False when _walks raises for (u1, u2, u3) whatever u3 is.
+        First, before any walk, when ^u1 and u2 are not empty and the
+        first visit to ^u1 (the kept visit entered from the left in the
+        initial state) does not leave it to the right in a state E that
+        a move right on u2's last symbol enters.  Then read off the
+        walk over ^u1 | u2 alone (the walk each u3 resumes, kept for
+        them), when (a) it does not leave the tape to the right, (b) the
+        crossing sequences of u2's borders, cross[i] and cross[i + 1],
+        are not prefix-comparable, or (c) one u2 does not exit as u2 u2
+        does on an entry the longer of them names.
+
+        Proof.  First check: the run starts in ^u1, and its first visit
+        there is that kept visit.  If it does not exit right, the run
+        never leaves ^u1, so (a) holds.  Otherwise its exit is the first
+        crossing of u2's left border: cross[i][0] == ("R", E).  The walk
+        stops at its first crossing of u2's right border, the tape's
+        right end, so when it leaves the tape to the right it ends with
+        cross[i + 1] == [("R", q)], q the target of the move right on
+        u2's last symbol that leaves u2's last cell.  Then (b) needs
+        E == q, and no such q is E.  (a) _resumed returns this walk
+        itself for every u3, so
         every u3 raises the same exception.  (b), (c): a resumed walk
         copies the crossing lists and only appends to them, save for a
         pop before a step into a repeated configuration.  Its first
@@ -379,11 +415,17 @@ class BlockSummaries:
         C when it fails on the longer prefix.  Either way _walks raises
         NotIdempotent.  QED"""
         i, words = self._prefix(u1, u2)
+        if i and u2:
+            ex, e = self._block(words[0], True)["L", self.t.initial][:2]
+            if ex != "R" or e not in self._right_targets.get(u2[-1], ()):
+                return False
         ends, cross = self._resumed(words, ())[:2]
-        if not ends or not u2:
-            return ends
-        short, long = sorted((cross[i], cross[i + 1]), key=len)
-        return long[:len(short)] == short and self._stable(u2, long)
+        if ends and u2:
+            short, long = sorted((cross[i], cross[i + 1]), key=len)
+            ends = long[:len(short)] == short and self._stable(u2, long)
+        if not ends:
+            del self._kept[words]
+        return ends
 
     def _walks(self, u1: Word, u2: Word, u3: Word):
         """The index i of the u2 block, the visits of the walk over
@@ -462,10 +504,11 @@ class BlockSummaries:
             raise NotInPrefDomain("run does not reach the right end")
         return i, visits, cuts if u2 else []
 
-    def _tr(self, u2: Word, entry) -> Word:
+    def _tr(self, u2: Word, entry) -> Optional[Word]:
         """tr at a crossing visit of u2 entered on entry (side, state):
         the output of the visit to u2 u2 on entry less its suffix, the
-        output of the visit to u2 on entry.  Kept per u2 and entry.
+        output of the visit to u2 on entry; None when that is not a
+        suffix of it.  Kept per u2 and entry.
 
         It is tr(C_i) for the crossing traversal i on that entry, the
         output one more copy of u2 adds to crossing i: segment i of the
@@ -484,24 +527,23 @@ class BlockSummaries:
         is pi_i with the rest of that stay's output in front, and that
         rest is the difference here, which depends on the entry alone.
         The suffix therefore exists on the entry of every crossing
-        visit of a walk that passed the checks of _walks.  On an entry
-        where it does not, RuntimeError is raised and nothing kept."""
+        visit of a walk that passed the checks of _walks, the only walks
+        whose cuts rho and decompose read: they never meet None.  A cut
+        without a tr thus shows that no walk it is a cut of passes
+        those checks (see prefix_values)."""
         key = (u2, entry)
-        tr = self._trs.get(key)
-        if tr is None:
+        if key not in self._trs:
             one = self._block(u2, False)[entry][2]
             two = self._block(u2 + u2, False)[entry][2]
-            if one and two[len(two) - len(one):] != one:
-                raise RuntimeError("pumping alignment failed: no common "
-                                   "suffix")
-            tr = self._trs[key] = two[:len(two) - len(one)]
-        return tr
+            k = len(two) - len(one)
+            self._trs[key] = two[:k] if two[k:] == one else None
+        return self._trs[key]
 
     def _emitting_cut(self, u2: Word, visits, cuts) -> Optional[int]:
-        """The first of the cuts whose crossing visit has a non-empty
-        tr, or None."""
+        """The first of the cuts whose crossing visit has a tr other
+        than the empty word, or None."""
         for c in cuts:
-            if self._tr(u2, visits[c][1:3]):
+            if self._tr(u2, visits[c][1:3]) != ():
                 return c
         return None
 
@@ -514,32 +556,31 @@ class BlockSummaries:
         crossing depends on its entry alone (see _tr): no second run is
         built and no tr after the first non-empty one is read."""
         _, visits, cuts = self._walks(u1, u2, u3)
-        out = []
-        for v in visits[:self._emitting_cut(u2, visits, cuts)]:
-            out += v[5]
-        return tuple(out)
+        return _output(visits[:self._emitting_cut(u2, visits, cuts)])
 
-    def rho_fixed(self, u1: Word, u2: Word) -> bool:
-        """Whether rho(u1, u2, u3) has one value over every u3 it
-        returns on, read off the walk over ^u1 | u2 that each u3
-        resumes (kept for them): whether one of that walk's crossing
-        visits of u2 has a non-empty tr.  Ask only once rho has
-        returned on some u3 of (u1, u2).
+    def prefix_values(self, u1: Word,
+                      u2: Word) -> Optional[Tuple[Word, ...]]:
+        """The values rho(u1, u2, u3) takes over the u3s it returns on,
+        when the walk over ^u1 | u2 that each u3 resumes (kept for
+        them) tells them, read off its cuts in order: (V,) when a cut
+        has a non-empty tr, V the output of the walk's visits before
+        it; () when a cut has no tr; None when neither, or u2 is empty
+        (no cut is read).  A tr before such a cut is empty.
 
         Proof.  A resumed walk copies the visits and cuts of the prefix
-        walk and only appends to them.  So when a cut of the prefix
-        walk has a non-empty tr, the first such cut c of every resumed
-        walk is the prefix walk's first one, and rho is the output of
-        the prefix walk's visits before c, whatever u3 is.  QED
-        Why only then: once rho has returned on some u3, that resumed
-        walk passed the checks of _walks, so every cut of the prefix
-        walk, a cut of that walk too, has its tr.  Before, a cut may
-        name an entry without one, and the test would raise
-        RuntimeError on a pair whose u3s all raise NotIdempotent or
-        NotInPrefDomain."""
+        walk and only appends to them, so the prefix walk's first cut
+        whose tr is not empty is the first such cut c of every resumed
+        walk.  When c has a tr, rho is the output of the visits before
+        c wherever it returns.  When c has none, no resumed walk passes
+        the checks of _walks (see _tr), so rho returns on no u3.  QED"""
         _, words = self._prefix(u1, u2)
         visits, cuts = self._resumed(words, ())[2:4]
-        return bool(u2) and self._emitting_cut(u2, visits, cuts) is not None
+        c = self._emitting_cut(u2, visits, cuts) if u2 else None
+        if c is None:
+            return None
+        if self._tr(u2, visits[c][1:3]) is None:
+            return ()
+        return (_output(visits[:c]),)
 
     def decompose(self, u1: Word, u2: Word, u3: Word) -> RunDecomposition:
         """decompose(t, u1, u2, u3): the traversals are the walk's

@@ -271,6 +271,10 @@ class TestSeedIndependence:
         commands += [["witness", fixture_path(name), "--variant", "ucont",
                       "--bound", "2,2,2"]
                      for name in ("dbl", "j", "t_c_2way", "f_inf")]
+        # the prefix-value skip, the limit and the chain test in turn
+        commands += [["witness", fixture_path(name), "--variant", "cont",
+                      "--bound", "4,3,2"]
+                     for name in ("j", "f_inf", "t_c_2way")]
         # both (a) and (b) have two accepting runs: the refusal names
         # the one a search over the look-ahead finds first
         p = tmp_path / "two_ambiguous_words.txt"

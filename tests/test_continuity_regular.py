@@ -236,9 +236,12 @@ class TestWorkDone:
             "mismatch_position=0, variant='ucont'), pref_exact=True)")
         assert lengths and max(lengths) <= 1
 
-    @pytest.mark.parametrize("make", [stem_doubler, prefix_doubler_2way],
+    # t_c_2way's groups are all skipped on their prefix walks' rho
+    # values, before a limit is asked; j shows the hook counts
+    @pytest.mark.parametrize("make, evaluated",
+                             [(stem_doubler, 1), (prefix_doubler_2way, 0)],
                              ids=["j", "t_c_2way"])
-    def test_each_limit_evaluated_once(self, make, monkeypatch):
+    def test_each_limit_evaluated_once(self, make, evaluated, monkeypatch):
         limits = []
 
         def counted(t, x):
@@ -248,8 +251,7 @@ class TestWorkDone:
         evaluate = continuity_regular.eval_up_2way
         monkeypatch.setattr(continuity_regular, "eval_up_2way", counted)
         search_witness(make(), "cont")
-        assert limits
-        assert len(limits) == len(set(limits))
+        assert len(limits) == len(set(limits)) == evaluated
 
 
 def _swap_symmetric(t: TwoWayTransducer) -> TwoWayTransducer:

@@ -11,12 +11,11 @@ less its suffix pi_i.  Both must give the same value, or raise the same
 exception with the same message, on every triple.
 
 search_witness walks a pair's u3s only up to its first value when
-BlockSummaries.rho_fixed says its prefix walk fixes rho; the lemma test
-checks that every u3 of such a pair gives that one value, and the work
-tests bound the rho calls it saves.  rho_fixed may be asked only once
-some u3 of the pair has a value: asked before, on a pair whose u3s all
-raise, it can meet an entry without a tr, and the mutant test shows a
-search doing so fail.
+BlockSummaries.prefix_values says its prefix walk fixes rho, and none
+of them when it says rho has no value (a cut without a tr); the lemma
+for both is in test_prefix_values_reference.  The work tests here bound
+the rho calls this saves, and the no-value test checks, on a search
+that walks the u3s of such pairs anyway, that they give no entry.
 """
 
 import dataclasses
@@ -120,38 +119,6 @@ def test_rho_matches_two_run_reference():
     assert not seen["RuntimeError"]
 
 
-def test_prefix_emitting_cut_fixes_rho():
-    bounds = SearchBounds(3, 3, 3)
-    pairs = Counter()
-    entries = 0
-    for t in [make() for make in FIXTURES] + list(_random_machines()):
-        space = _make_space(t)
-        summaries = BlockSummaries(space.machine)
-        for _, group in space.groups(bounds):
-            for u1, u2 in group:
-                # a pair ruled out this way has no values (see
-                # test_witness_prune_reference)
-                if not summaries.loop_possible(u1, u2):
-                    continue
-                values = []
-                for u3 in space.thirds(u1, u2, bounds):
-                    try:
-                        values.append(summaries.rho(u1, u2, u3))
-                    except (NotIdempotent, NotInPrefDomain):
-                        continue
-                if not values:
-                    continue
-                fixed = summaries.rho_fixed(u1, u2)
-                pairs[fixed] += 1
-                if fixed:
-                    entries += len(values)
-                    assert len(set(values)) == 1, (t, u1, u2)
-    print(pairs, entries)
-    # both kinds of pair occur, and fixed pairs have many entries
-    assert pairs[True] > 10_000 and pairs[False] > 1_000
-    assert entries > 100_000
-
-
 def _count_rho(monkeypatch):
     calls = []
     rho = BlockSummaries.rho
@@ -169,8 +136,13 @@ def test_t_c_2way_rho_calls(monkeypatch, variant):
     calls = _count_rho(monkeypatch)
     assert isinstance(search_witness(prefix_doubler_2way(), variant),
                       NoWitnessUpTo)
-    # 144 when every u3 of every pair is walked
-    assert 0 < len(calls) <= 48
+    # 144 when every u3 of every pair is walked, 48 when a pair whose
+    # prefix walk fixes rho stops at its first value; now each group is
+    # skipped on its prefix walks' values
+    assert len(calls) == 0
+    # the hook counts where the search does walk a u3
+    assert isinstance(search_witness(stem_doubler(), "ucont"), NotContinuous)
+    assert calls
 
 
 def test_j_ucont_rho_calls(monkeypatch):
@@ -180,27 +152,37 @@ def test_j_ucont_rho_calls(monkeypatch):
     assert 0 < len(calls) <= 56
 
 
-class _EarlyAsk(BlockSummaries):
-    """A search that asks rho_fixed of each live pair before any of its
-    u3s has a value."""
-
-    def loop_possible(self, u1, u2):
-        if not super().loop_possible(u1, u2):
-            return False
-        self.rho_fixed(u1, u2)
-        return True
-
-
-def test_asking_before_a_value_fails(monkeypatch):
+def test_no_value_pairs_give_no_entry():
+    """A search that walks every u3 of a pair whose prefix walk shows
+    that rho has no value, as it would an open pair, finds no value on
+    them and returns what the search returns."""
     bounds = SearchBounds(2, 2, 2)
+    walked = Counter()
+
+    class WalkNoValue(BlockSummaries):
+        def __init__(self, t):
+            super().__init__(t)
+            self.no_value = set()
+
+        def prefix_values(self, u1, u2):
+            values = super().prefix_values(u1, u2)
+            if values != ():
+                return values
+            self.no_value.add((u1, u2))
+            return None
+
+        def rho(self, u1, u2, u3):
+            pair = (u1, u2) in self.no_value
+            walked["u3"] += pair
+            value = super().rho(u1, u2, u3)
+            walked["value"] += pair
+            return value
+
     machines = list(_random_machines())
     results = [repr(search_witness(t, "ucont", bounds)) for t in machines]
-    monkeypatch.setattr(continuity_regular, "BlockSummaries", _EarlyAsk)
-    failed = 0
-    for t, want in zip(machines, results):
-        try:
-            assert repr(search_witness(t, "ucont", bounds)) == want
-        except RuntimeError as e:
-            assert "no common suffix" in str(e)
-            failed += 1
-    assert failed
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(continuity_regular, "BlockSummaries", WalkNoValue)
+        for t, want in zip(machines, results):
+            assert repr(search_witness(t, "ucont", bounds)) == want, t
+    print(walked)
+    assert walked["u3"] > 100 and walked["value"] == 0

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from omegacont import buchi, cli, lookahead
+from omegacont import buchi, cli
 from omegacont.buchi import all_up_words, is_empty, member_up, trim
 from omegacont.fixtures import (
     ENDMARKER, block_doubler, p_letter_count, p_suffix_shape,
@@ -19,6 +19,7 @@ from omegacont.twoway import (
 )
 from omegacont.words import UPWord, up_equal, up_word, words_up_to
 
+from test_buchi import random_buchi
 from test_loops import random_two_way
 
 
@@ -211,33 +212,44 @@ class TestGoodAnnotationReference:
 
 class TestPeriodStates:
     """good_annotation reads the states accepting a period off the
-    look-ahead automaton's table, which searches each period once."""
+    look-ahead automaton's table, which fills each period once from the
+    period's one-step relation."""
 
     def test_table_matches_member_up(self):
-        for t in (stem_doubler(), tail_classifier_2way(),
-                  prefix_doubler_2way()):
-            p = t.lookahead.automaton
-            for per in words_up_to(sorted(t.alphabet), 1, 3):
+        automata = [(t.lookahead.automaton, sorted(t.alphabet))
+                    for t in (stem_doubler(), tail_classifier_2way(),
+                              prefix_doubler_2way())]
+        rng = random.Random(5)
+        automata += [(random_buchi(rng, 2 + s % 4, "ab",
+                                   (0.2, 0.35, 0.5)[s % 3]), "ab")
+                     for s in range(300)]
+        queries = accepting = 0
+        for p, letters in automata:
+            for per in words_up_to(letters, 1, 4):
                 x = UPWord((), per)
                 want = {q for q in p.states
                         if member_up(p, x, from_states=[q])}
-                assert p.period_states(per) == want, per
+                assert p.period_states(per) == want, (p, per)
+                queries += 1
+                accepting += bool(want)
+        assert queries > 9_000 and 1_000 < accepting < queries
 
     def test_mismatch_searches_each_period_once(self, monkeypatch, capsys):
-        calls = []
+        fills = []
+        fill = buchi.BuchiAutomaton._accepting_period
 
-        def counted(b, x, from_states=None):
-            calls.append(x)
-            return member_up(b, x, from_states)
+        def counted(self, period):
+            fills.append(period)
+            return fill(self, period)
 
-        # patched in every module that holds a binding of member_up
-        monkeypatch.setattr(buchi, "member_up", counted)
-        monkeypatch.setattr(lookahead, "member_up", counted, raising=False)
+        monkeypatch.setattr(buchi.BuchiAutomaton, "_accepting_period",
+                            counted)
         code = cli.main(["mismatch", fixture_path("t_c_2way"), "aa", "a"])
         assert (code, capsys.readouterr().out) == (
             2, "unknown up to ext-bound 4\n")
-        # 105 distinct periods, one search per look-ahead state each
-        assert 0 < len(calls) <= 840
+        # 105 distinct periods, one table fill each
+        assert 0 < len(fills) <= 105
+        assert len(set(fills)) == len(fills)
 
 
 class TestEliminateLookahead:
